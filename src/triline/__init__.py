@@ -14,7 +14,7 @@ Gauss-code export of planar diagrams (:mod:`knots`); and a CLI
 
 from .cosbasis import BasisElement, MatrixPair, cos_basis, gram_matrix
 from .census import count_matchings, iter_matchings_batched, pairing_census
-from .diagrams import (DEFAULT_KMAX, DiagramWeight, Leg, LoopReport, Pairing,
+from .diagrams import (DEFAULT_KMAX, DiagramWeight, LoopReport, Pairing,
                        brute_force_index_sum, components_and_genus,
                        diagram_weight, enumerate_matchings, is_tadpole,
                        trace_greek_loops, trace_latin_loops)
@@ -29,7 +29,7 @@ from .knots import (GaussCode, TREFOIL, alternating_check, canonical_code,
 from .mixed import counterterm_series
 from .oracle import OracleCovariance, gaussian_oracle_moment, richardson_limit
 from .series import (FSeries, FlpTable, F_of_g, GaussRational, LnZFull,
-                     TriSeries, assemble_Z, connected_assemble,
+                     TriSeries, assemble_Z, census_table, connected_assemble,
                      double_limit_check, extract_Flp, formal_exp, formal_log,
                      full_ln_z, planar_loop_counts)
 
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisElement", "MatrixPair", "cos_basis", "gram_matrix",
     "count_matchings", "iter_matchings_batched", "pairing_census",
-    "DEFAULT_KMAX", "DiagramWeight", "Leg", "LoopReport", "Pairing",
+    "DEFAULT_KMAX", "DiagramWeight", "LoopReport", "Pairing",
     "brute_force_index_sum", "components_and_genus", "diagram_weight",
     "enumerate_matchings", "is_tadpole", "trace_greek_loops",
     "trace_latin_loops",
@@ -53,7 +53,8 @@ __all__ = [
     "counterterm_series",
     "OracleCovariance", "gaussian_oracle_moment", "richardson_limit",
     "FSeries", "FlpTable", "F_of_g", "GaussRational", "LnZFull", "TriSeries",
-    "assemble_Z", "connected_assemble", "double_limit_check", "extract_Flp",
-    "formal_exp", "formal_log", "full_ln_z", "planar_loop_counts",
+    "assemble_Z", "census_table", "connected_assemble", "double_limit_check",
+    "extract_Flp", "formal_exp", "formal_log", "full_ln_z",
+    "planar_loop_counts",
     "__version__",
 ]

@@ -2,21 +2,26 @@
 
 The reference generator in ``diagrams`` is clear but per-pairing; at k = 5
 the ab-restricted space has 10! = 3,628,800 pairings and needs bulk
-processing.  This module regenerates the same combinatorics with numpy:
+processing.  This module regenerates the same combinatorics with numpy and
+shares no tracing algorithm with that reference:
 
-* ab pairings are rows of a permutation table (partner of A-leg i);
-* Latin cycle counts come from pointer-doubling minimum propagation over
-  the composed port permutation (each undirected loop appears twice, once
-  per direction, hence the division by 2);
+* ab pairings are rows of a permutation table (partner of A-leg i), turned
+  into leg involutions ``match``;
+* Latin loops are the cycles of ``match`` after ``succ`` on the 4k legs,
+  where ``succ`` is the next position on the same vertex: following the
+  col port of each leg once around its loop visits every loop once, so
+  the cycle count is C itself;
 * Greek cycle counts use the leg permutation match XOR 2 (slot mate of the
-  propagator partner), halved for the same reason;
+  propagator partner); each undirected loop appears once per direction,
+  hence the division by 2;
+* cycle counts come from pointer-doubling minimum propagation;
 * vertex connectivity uses minimum-label propagation on at most 6 nodes.
 
 Every pairing is folded into an exact integer histogram keyed by
 (C, l, connected, tadpole).  The space is partitioned by fixing the
-partners of the first few A-legs, which yields independent tasks for the
-process pool; integer merges make parallel results bit-identical to the
-serial fold.
+partners of the first A-legs (at least the first one), which yields
+independent tasks for the process pool; integer merges make parallel
+results bit-identical to the serial fold.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .diagrams import DEFAULT_KMAX, _vertex_port_involution
+from .diagrams import DEFAULT_KMAX
 from .errors import ResourceLimitError, ValidationError
 
 _MAX_SUFFIX = 9          # largest n with a cached full permutation table
@@ -57,7 +62,7 @@ def _perm_table(n: int) -> np.ndarray:
 
 def _ab_prefixes(k: int) -> list[tuple[int, ...]]:
     """Task prefixes: fixed partners of the first A-legs, in order."""
-    depth = max(0, 2 * k - _MAX_SUFFIX)
+    depth = max(1, 2 * k - _MAX_SUFFIX)
     return list(itertools.permutations(range(2 * k), depth))
 
 
@@ -112,21 +117,26 @@ def _row_connected(bp: np.ndarray, k: int) -> np.ndarray:
     return (lab == 0).all(axis=1)
 
 
-def _census_rows(bp: np.ndarray, k: int, vm: np.ndarray) -> Census:
-    """Trace one batch of ab pairings and histogram (C, l, conn, tad)."""
-    n2 = 2 * k
+def _ab_match(bp: np.ndarray) -> np.ndarray:
+    """Leg involution rows (partner leg of each leg) of a batch of ab rows."""
+    n2 = bp.shape[1]
     pinv = np.empty_like(bp)
     np.put_along_axis(
         pinv, bp,
         np.broadcast_to(np.arange(n2, dtype=bp.dtype), bp.shape), axis=1)
-    match = np.empty((bp.shape[0], 4 * k), dtype=np.int32)
+    match = np.empty((bp.shape[0], 2 * n2), dtype=np.int32)
     match[:, 0::2] = 2 * bp + 1
     match[:, 1::2] = 2 * pinv
-    ports = np.empty((bp.shape[0], 8 * k), dtype=np.int32)
-    ports[:, 0::2] = 2 * match + 1
-    ports[:, 1::2] = 2 * match
-    sigma = vm[ports]
-    C = _row_cycle_counts(sigma) // 2
+    return match
+
+
+def _census_rows(bp: np.ndarray, k: int) -> Census:
+    """Trace one batch of ab pairings and histogram (C, l, conn, tad)."""
+    n2 = 2 * k
+    match = _ab_match(bp)
+    legs = np.arange(4 * k)
+    succ = legs - legs % 4 + (legs + 1) % 4
+    C = _row_cycle_counts(match[:, succ])
     lgr = _row_cycle_counts(match ^ 2) // 2
     conn = _row_connected(bp, k)
     tad = (bp // 2 == (np.arange(n2, dtype=bp.dtype) // 2)[None, :]).any(axis=1)
@@ -150,11 +160,10 @@ def _merge(into: Census, part: Census) -> None:
 
 def _census_task(args) -> Census:
     k, prefix = args
-    vm = np.array(_vertex_port_involution(k), dtype=np.int32)
     bp = _ab_block(k, prefix)
     total: Census = {}
     for lo in range(0, bp.shape[0], _ROW_CHUNK):
-        _merge(total, _census_rows(bp[lo:lo + _ROW_CHUNK], k, vm))
+        _merge(total, _census_rows(bp[lo:lo + _ROW_CHUNK], k))
     return total
 
 
@@ -170,7 +179,7 @@ def pairing_census(k: int, threads: int = 1, kmax: int = DEFAULT_KMAX) -> Census
         raise ValidationError("threads must be >= 1")
     tasks = [(k, prefix) for prefix in _ab_prefixes(k)]
     total: Census = {}
-    if threads == 1 or len(tasks) == 1:
+    if threads == 1:
         for t in tasks:
             _merge(total, _census_task(t))
         return total
@@ -210,16 +219,7 @@ def iter_matchings_batched(k: int, mode: str = "ab_only",
         raise ResourceLimitError(f"k={k} outside enumeration range 1..{kmax}")
     if mode == "ab_only":
         for prefix in _ab_prefixes(k):
-            bp = _ab_block(k, prefix)
-            match = np.empty((bp.shape[0], 4 * k), dtype=np.int32)
-            pinv = np.empty_like(bp)
-            np.put_along_axis(
-                pinv, bp,
-                np.broadcast_to(np.arange(2 * k, dtype=bp.dtype), bp.shape),
-                axis=1)
-            match[:, 0::2] = 2 * bp + 1
-            match[:, 1::2] = 2 * pinv
-            yield match
+            yield _ab_match(_ab_block(k, prefix))
         return
     n = 4 * k
     if n <= 16:

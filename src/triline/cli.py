@@ -25,8 +25,9 @@ from .gaussian import (EntrySymbol, RegKernel, _quartic_monomials,
                        wick_moment, wick_order_quartic)
 from .knots import enumerate_knot_diagrams, knot_record
 from .oracle import gaussian_oracle_moment, richardson_limit
-from .series import (F_of_g, assemble_Z, connected_assemble, double_limit_check,
-                     extract_Flp, f_to_json, flp_to_json, formal_log, full_ln_z,
+from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, LnZFull, assemble_Z,
+                     census_table, connected_assemble, double_limit_check,
+                     extract_Flp, f_to_json, flp_to_json, formal_log,
                      planar_loop_counts, series_to_json)
 
 CLI_KMAX_CAP = DEFAULT_KMAX
@@ -61,9 +62,9 @@ class RunConfig:
             raise ValidationError("d values must be >= 1")
         if not self.eps or any(e <= 0 for e in self.eps):
             raise ValidationError("epsilon values must be > 0")
-        if self.convention not in ("action", "paper_series"):
+        if self.convention not in CONVENTIONS:
             raise ValidationError(f"unknown convention {self.convention!r}")
-        if self.action not in ("standard", "symmetric", "wick_ordered"):
+        if self.action not in SERIES_ACTIONS:
             raise ValidationError(f"unknown action {self.action!r}")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.format!r}")
@@ -132,7 +133,8 @@ def _note(msg: str) -> None:
 
 
 def _expand_payload(cfg: RunConfig) -> dict:
-    z = assemble_Z(cfg.kmax, cfg.convention, cfg.action, threads=cfg.threads)
+    censuses = census_table(cfg.kmax, threads=cfg.threads)
+    z = assemble_Z(censuses, cfg.convention, cfg.action)
     lnz = formal_log(z)
     table = extract_Flp(lnz)
     f = F_of_g(table)
@@ -145,9 +147,7 @@ def _expand_payload(cfg: RunConfig) -> dict:
     }
     if cfg.action == "standard":
         payload["planar_loop_counts"] = {
-            str(k): v
-            for k, v in planar_loop_counts(cfg.kmax, threads=cfg.threads).items()
-        }
+            str(k): v for k, v in planar_loop_counts(censuses).items()}
     return payload
 
 
@@ -276,16 +276,15 @@ def _verify_euler(cfg: RunConfig, failure_records: list[dict],
 
 
 def _verify_logcheck(cfg: RunConfig, failures: list[str]) -> None:
-    for convention in ("action", "paper_series"):
-        z = assemble_Z(cfg.kmax, convention, threads=cfg.threads)
-        lnz = formal_log(z)
-        conn = connected_assemble(cfg.kmax, convention, threads=cfg.threads)
+    censuses = census_table(cfg.kmax, threads=cfg.threads)
+    for convention in CONVENTIONS:
+        lnz = formal_log(assemble_Z(censuses, convention))
+        conn = connected_assemble(censuses, convention)
         if lnz != conn:
             failures.append(f"linked-cluster mismatch [{convention}]")
             continue
         try:
-            double_limit_check(full_ln_z(cfg.kmax, convention,
-                                         threads=cfg.threads), cfg.kmax)
+            double_limit_check(LnZFull(series=conn), cfg.kmax)
         except (StructureError, ValidationError) as exc:
             failures.append(f"double limit [{convention}]: {exc}")
 
@@ -335,11 +334,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--N", default=None, help="comma-separated N values")
     parser.add_argument("--d", default=None, help="comma-separated d values")
     parser.add_argument("--eps", default=None, help="comma-separated epsilons")
-    parser.add_argument("--convention", choices=("action", "paper_series"),
-                        default=None)
-    parser.add_argument("--action",
-                        choices=("standard", "symmetric", "wick_ordered"),
-                        default=None)
+    parser.add_argument("--convention", choices=CONVENTIONS, default=None)
+    parser.add_argument("--action", choices=SERIES_ACTIONS, default=None)
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("json", "csv"), default=None)

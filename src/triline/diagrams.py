@@ -35,25 +35,6 @@ DEFAULT_KMAX = 6
 BRUTE_FORCE_ENUM_LIMIT = 400_000
 
 
-@dataclass(frozen=True)
-class Leg:
-    """One vertex leg; vertex, position, and family derive from the id."""
-
-    id: int
-
-    @property
-    def vertex(self) -> int:
-        return self.id // 4
-
-    @property
-    def position(self) -> int:
-        return self.id % 4
-
-    @property
-    def family(self) -> str:
-        return "A" if self.id % 2 == 0 else "B"
-
-
 def leg_family(leg_id: int) -> str:
     return "A" if leg_id % 2 == 0 else "B"
 

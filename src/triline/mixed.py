@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .series import GR_ONE, GR_ZERO, GaussRational, TriSeries, _vertex_prefactor
 
 MIXED_KMAX = 3
@@ -110,7 +110,10 @@ def _latin_cycles(types, legs, match) -> int:
             seen.add(cur)
             cur = vert[prop[cur]]
     # each index loop is traversed once from a row port and once from a col port
-    assert count % 2 == 0
+    if count % 2:
+        raise InvariantViolation(
+            f"odd Latin port-cycle count {count}: types {types}, "
+            f"pairing {match}")
     return count // 2
 
 
@@ -135,7 +138,9 @@ def _greek_cycles(types, legs, match) -> int:
         pairing[b] = a
     walk = [(i, slotmate[pairing[i]]) for i in pairing]
     c = _cycles(walk)
-    assert c % 2 == 0
+    if c % 2:
+        raise InvariantViolation(
+            f"odd Greek cycle count {c}: types {types}, pairing {match}")
     return c // 2
 
 

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .census import pairing_census
-from .diagrams import (DEFAULT_KMAX, components_and_genus, enumerate_matchings,
-                       is_tadpole, leg_family)
+from .census import Census, pairing_census
+from .diagrams import components_and_genus, enumerate_matchings, leg_family
 from .errors import ResourceLimitError, StructureError, ValidationError
 
 CONVENTIONS = ("action", "paper_series")
@@ -98,6 +97,7 @@ GR_ZERO = GaussRational()
 GR_ONE = GaussRational.of(1)
 
 Key = tuple[int, int, int]
+CensusTable = dict[int, Census]   # order k -> pairing_census(k)
 
 
 class TriSeries:
@@ -178,11 +178,27 @@ def _vertex_prefactor(k: int, convention: str) -> GaussRational:
     return GaussRational.i_power(3 * k) * Fraction(1, denom)
 
 
-def _census_terms(k: int, convention: str, connected_only: bool,
-                  drop_tadpoles: bool, threads: int) -> dict[Key, GaussRational]:
+def census_table(kmax: int, threads: int = 1) -> CensusTable:
+    """The census of every order 1..kmax, computed once per run.
+
+    Every series consumer takes this table, so a run traces each order's
+    pairings exactly once whatever it derives from them.
+    """
+    return {k: pairing_census(k, threads=threads) for k in range(1, kmax + 1)}
+
+
+def _table_kmax(table: CensusTable) -> int:
+    kmax = max(table, default=0)
+    if sorted(table) != list(range(1, kmax + 1)):
+        raise ValidationError("census table must hold every order 1..kmax")
+    return kmax
+
+
+def _census_terms(k: int, census: Census, convention: str, connected_only: bool,
+                  drop_tadpoles: bool) -> dict[Key, GaussRational]:
     pref = _vertex_prefactor(k, convention)
     out: dict[Key, GaussRational] = {}
-    for (C, l, conn, tad), count in pairing_census(k, threads=threads).items():
+    for (C, l, conn, tad), count in census.items():
         if connected_only and not conn:
             continue
         if drop_tadpoles and tad:
@@ -220,20 +236,18 @@ def _symmetric_terms(k: int, convention: str,
     return out
 
 
-def _assemble(kmax: int, convention: str, action: str, connected_only: bool,
-              threads: int, kcap: int) -> TriSeries:
+def _assemble(table: CensusTable, convention: str, action: str,
+              connected_only: bool) -> TriSeries:
     if action not in SERIES_ACTIONS:
         raise ValidationError(f"unknown action {action!r}")
-    if kmax > kcap:
-        raise ResourceLimitError(f"kmax={kmax} exceeds cap {kcap}")
+    kmax = _table_kmax(table)
     out = TriSeries.one(kmax)
     for k in range(1, kmax + 1):
         if action == "symmetric":
             terms = _symmetric_terms(k, convention, connected_only)
         else:
-            terms = _census_terms(k, convention, connected_only,
-                                  drop_tadpoles=(action == "wick_ordered"),
-                                  threads=threads)
+            terms = _census_terms(k, table[k], convention, connected_only,
+                                  drop_tadpoles=(action == "wick_ordered"))
         for key, coeff in terms.items():
             out._accumulate(key, coeff)
     if connected_only:
@@ -241,19 +255,20 @@ def _assemble(kmax: int, convention: str, action: str, connected_only: bool,
     return out
 
 
-def assemble_Z(kmax: int, convention: str = "action", action: str = "standard",
-               threads: int = 1, kcap: int = DEFAULT_KMAX) -> TriSeries:
-    """Normalized partition series Z(N, d, g) / Z(N, d, 0) up to g^kmax."""
-    return _assemble(kmax, convention, action, connected_only=False,
-                     threads=threads, kcap=kcap)
+def assemble_Z(table: CensusTable, convention: str = "action",
+               action: str = "standard") -> TriSeries:
+    """Normalized partition series Z(N, d, g) / Z(N, d, 0) up to g^max(table).
+
+    The symmetric action enumerates all pairings itself and reads only the
+    order range from the table.
+    """
+    return _assemble(table, convention, action, connected_only=False)
 
 
-def connected_assemble(kmax: int, convention: str = "action",
-                       action: str = "standard", threads: int = 1,
-                       kcap: int = DEFAULT_KMAX) -> TriSeries:
+def connected_assemble(table: CensusTable, convention: str = "action",
+                       action: str = "standard") -> TriSeries:
     """Sum over connected pairings only; the linked-cluster form of ln Z."""
-    return _assemble(kmax, convention, action, connected_only=True,
-                     threads=threads, kcap=kcap)
+    return _assemble(table, convention, action, connected_only=True)
 
 
 def formal_log(s: TriSeries) -> TriSeries:
@@ -373,11 +388,10 @@ class LnZFull:
     logpi: ConstMap = field(default_factory=lambda: {(2, 1): Fraction(1)})
 
 
-def full_ln_z(kmax: int, convention: str = "action", action: str = "standard",
-              threads: int = 1, kcap: int = DEFAULT_KMAX) -> LnZFull:
+def full_ln_z(table: CensusTable, convention: str = "action",
+              action: str = "standard") -> LnZFull:
     """ln Z including constants: dN log2 + dN^2 logpi + connected series."""
-    return LnZFull(series=connected_assemble(kmax, convention, action,
-                                             threads=threads, kcap=kcap))
+    return LnZFull(series=connected_assemble(table, convention, action))
 
 
 def _shift_const(cm: ConstMap) -> ConstMap:
@@ -427,23 +441,15 @@ def double_limit_check(lnz_full: LnZFull, kmax: int) -> bool:
     return True
 
 
-def planar_loop_counts(kmax: int, threads: int = 1,
-                       kcap: int = DEFAULT_KMAX) -> dict[int, int]:
+def planar_loop_counts(table: CensusTable) -> dict[int, int]:
     """Raw count per order of connected planar single-Greek-loop pairings.
 
     These are the pairings behind F_{1,0}; connected with one component,
     genus 0 means C = k + 2.
     """
-    out = {}
-    for k in range(1, kmax + 1):
-        if k > kcap:
-            raise ResourceLimitError(f"kmax={kmax} exceeds cap {kcap}")
-        total = 0
-        for (C, l, conn, _tad), count in pairing_census(k, threads=threads).items():
-            if conn and l == 1 and C == k + 2:
-                total += count
-        out[k] = total
-    return out
+    return {k: sum(count for (C, l, conn, _tad), count in table[k].items()
+                   if conn and l == 1 and C == k + 2)
+            for k in range(1, _table_kmax(table) + 1)}
 
 
 def gauss_rational_json(c: GaussRational) -> dict:

@@ -20,7 +20,7 @@ from triline.knots import (TREFOIL, alternating_check, canonical_code,
 from triline.mixed import counterterm_series
 from triline.oracle import (OracleCovariance, gaussian_oracle_moment,
                             richardson_limit)
-from triline.series import (F_of_g, GaussRational, assemble_Z,
+from triline.series import (F_of_g, GaussRational, assemble_Z, census_table,
                             connected_assemble, double_limit_check, extract_Flp,
                             formal_log, full_ln_z)
 
@@ -140,9 +140,10 @@ def test_criterion_06_euler_integrality():
 
 def test_criterion_07_linked_cluster():
     ok = True
+    table = census_table(3)
     for convention in ("action", "paper_series"):
-        if formal_log(assemble_Z(3, convention)) != \
-                connected_assemble(3, convention):
+        if formal_log(assemble_Z(table, convention)) != \
+                connected_assemble(table, convention):
             ok = False
     report(7, "formal_log(assemble_Z(3)) = connected_assemble(3) exactly, "
               "both conventions", ok)
@@ -153,7 +154,7 @@ def test_criterion_08_lattice_and_double_limit():
     detail = []
     for convention, want_f1 in (("action", GaussRational.of(0, -1)),
                                 ("paper_series", GaussRational.of(0, -2))):
-        lnz = full_ln_z(3, convention)
+        lnz = full_ln_z(census_table(3), convention)
         table = extract_Flp(lnz.series)     # raises off-lattice
         ok = ok and double_limit_check(lnz, 3)
         f = F_of_g(table)
@@ -162,7 +163,7 @@ def test_criterion_08_lattice_and_double_limit():
         # brute-force confirmation at k = 1: the g-coefficient of Z equals
         # (i c / N) * sum over the two pairings of the index sum, c = 1/2 or 1
         c = Fraction(1, 2) if convention == "action" else Fraction(1)
-        z = assemble_Z(1, convention)
+        z = assemble_Z(census_table(1), convention)
         for N, d in ((1, 1), (2, 1), (2, 2), (3, 2)):
             series_val = sum(
                 complex(co.re + 1j * co.im) * N ** a * d ** b
@@ -215,7 +216,7 @@ def test_criterion_10_wick_ordered_vertex():
             worst = max(worst, abs(richardson_limit(ordered_mean)))
     exact = all(
         counterterm_series(2, convention) ==
-        assemble_Z(2, convention, action="wick_ordered")
+        assemble_Z(census_table(2), convention, action="wick_ordered")
         for convention in ("action", "paper_series"))
     report(10, "E[normal-ordered quartic] = 0 within 1e-8; ordered series = "
                "standard minus tadpoles exactly at k <= 2",

@@ -32,6 +32,20 @@ def test_parallel_census_bit_identical():
     assert pairing_census(3, threads=4) == pairing_census(3, threads=1)
 
 
+@pytest.mark.parametrize("k, want", [(1, 2), (2, 18), (3, 432), (4, 18_144),
+                                     (5, 1_119_744)])
+def test_planar_count_equals_tutte(k, want):
+    # connected genus-0 ab pairings are rooted planar 4-regular maps
+    # (Tutte 1963) times k! 2^k labelings and half-turns over 2k roots
+    tutte = (2 ** (k - 1) * math.factorial(k - 1) * 2 * 3 ** k
+             * math.factorial(2 * k)
+             // (math.factorial(k) * math.factorial(k + 2)))
+    census = pairing_census(k, threads=2 if k == 5 else 1)
+    planar = sum(n for (C, _l, conn, _tad), n in census.items()
+                 if conn and C == k + 2)
+    assert planar == tutte == want
+
+
 def test_census_cap():
     with pytest.raises(ResourceLimitError):
         pairing_census(7)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triline.diagrams import (Leg, LoopReport, Pairing, brute_force_index_sum,
+from triline.diagrams import (LoopReport, Pairing, brute_force_index_sum,
                               components_and_genus, diagram_record,
                               diagram_weight, enumerate_matchings, is_tadpole,
                               trace_greek_loops, trace_latin_loops)
@@ -22,12 +22,6 @@ CENSUS_AB = {
         (5, 1, True): 336, (5, 2, True): 96, (5, 3, False): 12,
         (7, 2, False): 96, (7, 3, False): 12, (9, 3, False): 8},
 }
-
-
-def test_leg_coordinates():
-    leg = Leg(7)
-    assert leg.vertex == 1 and leg.position == 3 and leg.family == "B"
-    assert Leg(4).family == "A"
 
 
 def test_pairing_validation():

@@ -11,7 +11,8 @@ from triline.errors import StructureError, ValidationError
 from triline.knots import (GaussCode, TREFOIL, alternating_check, canonical_code,
                            enumerate_knot_diagrams, knot_record, reduce_R1,
                            to_gauss_code)
-from triline.series import GaussRational, connected_assemble, extract_Flp
+from triline.series import (GaussRational, census_table, connected_assemble,
+                            extract_Flp)
 
 # canonical code multisets per order, frozen from an independent walk
 FROZEN_CODES = {
@@ -82,7 +83,7 @@ def test_enumerated_codes_frozen():
 
 
 def test_coefficients_sum_to_f10():
-    table = extract_Flp(connected_assemble(3))
+    table = extract_Flp(connected_assemble(census_table(3)))
     for k in (1, 2, 3):
         total = GaussRational()
         for _, coeff in enumerate_knot_diagrams(k):

@@ -9,10 +9,11 @@ from triline.errors import (ResourceLimitError, StructureError, ValidationError)
 from triline.mixed import counterterm_series
 from triline.oracle import gaussian_oracle_moment, richardson_limit
 from triline.series import (F_of_g, FlpTable, GaussRational, TriSeries,
-                            assemble_Z, connected_assemble, double_limit_check,
-                            extract_Flp, f_to_json, flp_to_json, formal_exp,
-                            formal_log, full_ln_z, gauss_rational_json,
-                            planar_loop_counts, series_to_json)
+                            assemble_Z, census_table, connected_assemble,
+                            double_limit_check, extract_Flp, f_to_json,
+                            flp_to_json, formal_exp, formal_log, full_ln_z,
+                            gauss_rational_json, planar_loop_counts,
+                            series_to_json)
 
 GR = GaussRational.of
 
@@ -32,7 +33,7 @@ def test_gauss_rational_arithmetic():
 
 
 def test_z_series_frozen_coefficients():
-    z = assemble_Z(2)
+    z = assemble_Z(census_table(2))
     assert z.terms == {
         (0, 0, 0): GR(1),
         (1, 2, 1): GR(0, -1),
@@ -41,18 +42,28 @@ def test_z_series_frozen_coefficients():
         (2, 2, 2): GR(Fraction(-1, 4)),
         (2, 4, 2): GR(Fraction(-1, 2)),
     }
-    zp = assemble_Z(1, convention="paper_series")
+    zp = assemble_Z(census_table(1), convention="paper_series")
     assert zp.terms[(1, 2, 1)] == GR(0, -2)
 
 
 def test_linked_cluster_exact():
+    table = census_table(3)
     for convention in ("action", "paper_series"):
-        z = assemble_Z(3, convention=convention)
-        assert formal_log(z) == connected_assemble(3, convention=convention)
+        z = assemble_Z(table, convention=convention)
+        assert formal_log(z) == connected_assemble(table, convention=convention)
+
+
+def test_census_table_must_cover_every_order():
+    table = census_table(3)
+    del table[2]
+    with pytest.raises(ValidationError):
+        assemble_Z(table)
+    with pytest.raises(ValidationError):
+        planar_loop_counts(table)
 
 
 def test_formal_exp_inverts_log():
-    z = assemble_Z(3)
+    z = assemble_Z(census_table(3))
     assert formal_exp(formal_log(z)) == z
 
 
@@ -64,7 +75,7 @@ def test_formal_log_requires_unit_constant():
 
 
 def test_flp_lattice_and_f_values():
-    lnz = connected_assemble(3)
+    lnz = connected_assemble(census_table(3))
     table = extract_Flp(lnz)
     assert table.reconstruct() == lnz
     f = F_of_g(table)
@@ -72,7 +83,8 @@ def test_flp_lattice_and_f_values():
     assert f.coeffs[1] == GR(0, -1)
     assert f.coeffs[2] == GR(-2)
     assert f.coeffs[3] == GR(0, 7)
-    fp = F_of_g(extract_Flp(connected_assemble(3, convention="paper_series")))
+    fp = F_of_g(extract_Flp(connected_assemble(census_table(3),
+                                               convention="paper_series")))
     assert fp.coeffs[1] == GR(0, -2)
     assert fp.coeffs[2] == GR(-8)
     assert fp.coeffs[3] == GR(0, 56)
@@ -80,7 +92,7 @@ def test_flp_lattice_and_f_values():
 
 def test_flp_genus_one_entry():
     # the crossing ladder at k=2 sits at N-power 0: genus 1, one Greek loop...
-    table = extract_Flp(connected_assemble(2))
+    table = extract_Flp(connected_assemble(census_table(2)))
     poly = table.poly(2, 1)
     assert poly[2] == GR(Fraction(-1, 4))
 
@@ -95,28 +107,31 @@ def test_extract_flp_rejects_off_lattice():
 
 
 def test_double_limit():
-    assert double_limit_check(full_ln_z(3), 3) is True
-    assert double_limit_check(full_ln_z(3, "paper_series"), 3) is True
-    bad = full_ln_z(2)
+    table = census_table(3)
+    assert double_limit_check(full_ln_z(table), 3) is True
+    assert double_limit_check(full_ln_z(table, "paper_series"), 3) is True
+    bad = full_ln_z(census_table(2))
     bad.series._accumulate((1, 4, 1), GR(1))
     with pytest.raises(StructureError):
         double_limit_check(bad, 2)
 
 
 def test_planar_loop_counts_frozen():
-    assert planar_loop_counts(3) == {1: 2, 2: 16, 3: 336}
+    assert planar_loop_counts(census_table(3)) == {1: 2, 2: 16, 3: 336}
 
 
 def test_wick_ordered_assembly_drops_tadpoles_exactly():
     for convention in ("action", "paper_series"):
-        wo = assemble_Z(2, convention=convention, action="wick_ordered")
+        wo = assemble_Z(census_table(2), convention=convention,
+                        action="wick_ordered")
         ct = counterterm_series(2, convention=convention)
         assert ct == wo
-    assert counterterm_series(3) == assemble_Z(3, action="wick_ordered")
+    assert counterterm_series(3) == assemble_Z(census_table(3),
+                                               action="wick_ordered")
 
 
 def test_wick_ordered_kills_order_one():
-    wo = assemble_Z(1, action="wick_ordered")
+    wo = assemble_Z(census_table(1), action="wick_ordered")
     assert wo == TriSeries.one(1)
 
 
@@ -129,7 +144,7 @@ def test_symmetric_assembly_first_order_against_oracle():
     # order-g coefficient of Z under the symmetric quadratic form implies
     # E[sum Tr(ABAB)] = -2N(2d^2 + N^2 d)/9; confirm numerically
     from triline.gaussian import EntrySymbol
-    z = assemble_Z(1, action="symmetric")
+    z = assemble_Z(census_table(1), action="symmetric")
     for N, d in ((2, 1), (1, 2)):
         implied = -2j * N * sum(
             complex(c.re + 1j * c.im) * N ** a * d ** b
@@ -156,23 +171,24 @@ def test_symmetric_assembly_first_order_against_oracle():
 
 
 def test_symmetric_assembly_linked_cluster():
-    z = assemble_Z(2, action="symmetric")
-    assert formal_log(z) == connected_assemble(2, action="symmetric")
+    table = census_table(2)
+    z = assemble_Z(table, action="symmetric")
+    assert formal_log(z) == connected_assemble(table, action="symmetric")
 
 
 def test_symmetric_cap():
     with pytest.raises(ResourceLimitError):
-        assemble_Z(4, action="symmetric")
+        assemble_Z(census_table(4), action="symmetric")
 
 
 def test_series_json_schema():
-    z = assemble_Z(1)
+    z = assemble_Z(census_table(1))
     js = series_to_json(z, "action")
     assert js["convention"] == "action" and js["kmax"] == 1
     assert js["terms"][1] == {"k": 1, "n_pow": 2, "d_pow": 1,
                               "re_num": 0, "re_den": 1,
                               "im_num": -1, "im_den": 1}
-    table = extract_Flp(connected_assemble(2))
+    table = extract_Flp(connected_assemble(census_table(2)))
     fj = flp_to_json(table)
     assert {e["l"] for e in fj["entries"]} <= {1, 2}
     ff = f_to_json(F_of_g(table))
