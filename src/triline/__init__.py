@@ -12,7 +12,7 @@ Gauss-code export of planar diagrams (:mod:`knots`); and a CLI
 (:mod:`cli`).
 """
 
-from .cosbasis import BasisElement, MatrixPair, cos_basis, gram_matrix
+from .cosbasis import BasisElement, MatrixPair, cos_basis
 from .census import count_matchings, iter_matchings_batched, pairing_census
 from .diagrams import (DEFAULT_KMAX, DiagramWeight, LoopReport, Pairing,
                        brute_force_index_sum, components_and_genus,
@@ -36,7 +36,7 @@ from .series import (FSeries, FlpTable, F_of_g, GaussRational, LnZFull,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisElement", "MatrixPair", "cos_basis", "gram_matrix",
+    "BasisElement", "MatrixPair", "cos_basis",
     "count_matchings", "iter_matchings_batched", "pairing_census",
     "DEFAULT_KMAX", "DiagramWeight", "LoopReport", "Pairing",
     "brute_force_index_sum", "components_and_genus", "diagram_weight",

@@ -1,43 +1,59 @@
-"""Vectorized pairing census: bulk loop tracing and exact integer counts.
+"""Vectorized pairing census over symmetry-reduced representatives.
 
-The reference generator in ``diagrams`` is clear but per-pairing; at k = 5
-the ab-restricted space has 10! = 3,628,800 pairings and needs bulk
-processing.  This module regenerates the same combinatorics with numpy and
-shares no tracing algorithm with that reference:
+The census of order k is the exact histogram {(C, l, connected, tadpole):
+count} over the (2k)! ab pairings.  Relabeling vertices and giving one
+vertex a half-turn (A B A B maps to itself) leave the key unchanged, so the
+census traces one representative per class of labeled pairings, with an
+exact integer weight (isomorph-free generation; McKay, J. Algorithms 1998).
 
-* ab pairings are rows of a permutation table (partner of A-leg i), turned
-  into leg involutions ``match``;
-* Latin loops are the cycles of ``match`` after ``succ`` on the 4k legs,
-  where ``succ`` is the next position on the same vertex: following the
-  col port of each leg once around its loop visits every loop once, so
-  the cycle count is C itself;
-* Greek cycle counts use the leg permutation match XOR 2 (slot mate of the
-  propagator partner); each undirected loop appears once per direction,
-  hence the division by 2;
-* cycle counts come from pointer-doubling minimum propagation;
-* vertex connectivity uses minimum-label propagation on at most 6 nodes.
+A representative is a row ``bp``: the B-index paired with each A-index.
+Vertex v carries A-indices 2v, 2v+1 (positions 0, 2) and B-indices 2v, 2v+1
+(positions 1, 3); vertices are numbered in the order they are touched.
+A-index a = 0, 1, ... is always the lowest unpaired one on a touched vertex:
 
-Every pairing is folded into an exact integer histogram keyed by
-(C, l, connected, tadpole).  The space is partitioned by fixing the
-partners of the first A-legs (at least the first one), which yields
-independent tasks for the process pool; integer merges make parallel
-results bit-identical to the serial fold.
+* if every touched A-index is paired, touch vertex t (weight 1: a labeled
+  pairing starts its next component at a fixed vertex and orientation);
+* pair a with an unpaired B-index of a touched vertex (weight 1), or with
+  B-index 2t, position 1 of fresh vertex t, touching it; relabeling and
+  half-turns map the 2(k - t) B-indices of the untouched vertices onto it,
+  so it weighs 2(k - t).
+
+A weight, the product of its choices' weights, counts the labeled pairings
+the representative stands for.  Weights are summed as exact int64; those of
+an order must total (2k)!, or the census raises ``InvariantViolation``.
+
+Tracing shares no algorithm with the reference tracer in ``diagrams``:
+Latin loops are the cycles of the leg involution ``match`` after ``succ``
+(next position on the same vertex), one per loop; Greek loops are half the
+cycles of match XOR 2 (slot mate of the partner), each loop being seen once
+per direction; cycles are counted by pointer-doubling minimum propagation,
+and connectivity by minimum-label propagation.
+
+The generator states after the first ``_SPLIT_DEPTH`` choices are the
+process-pool tasks (at least two for any k).  A task expands its subtree
+level by level in numpy, ``_ROW_CHUNK`` rows at a time, and traces its
+representatives as they come, so no order holds all of them at once.  Task
+histograms are merged in task order, so any ``threads`` gives the same
+integers.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .diagrams import DEFAULT_KMAX
-from .errors import ResourceLimitError, ValidationError
+from .errors import InvariantViolation, ResourceLimitError, ValidationError
 
 _MAX_SUFFIX = 9          # largest n with a cached full permutation table
-_ROW_CHUNK = 90_720      # rows traced per numpy batch
+_ROW_CHUNK = 90_720      # rows expanded or traced per numpy batch
+_SPLIT_DEPTH = 3         # generator choices fixed per pool task
 
 Census = dict[tuple[int, int, bool, bool], int]
+State = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]   # bp, used, t, w
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,13 +108,12 @@ def _row_cycle_counts(perm: np.ndarray) -> np.ndarray:
     return (lab == ident).sum(axis=1, dtype=np.int64)
 
 
-def _row_connected(bp: np.ndarray, k: int) -> np.ndarray:
-    """Vertex-graph connectivity per row (propagator edges only)."""
-    rows, n2 = bp.shape
+def _row_connected(vcol: np.ndarray, k: int) -> np.ndarray:
+    """Connectivity per row; A-leg i on vertex i // 2 meets vertex vcol[:, i]."""
+    rows, n2 = vcol.shape
     if k == 1:
         return np.ones(rows, dtype=bool)
-    lab = np.broadcast_to(np.arange(k, dtype=np.int32), (rows, k)).copy()
-    vcol = bp // 2
+    lab = np.broadcast_to(np.arange(k, dtype=vcol.dtype), (rows, k)).copy()
     ridx = np.arange(rows)
     while True:
         changed = False
@@ -130,26 +145,28 @@ def _ab_match(bp: np.ndarray) -> np.ndarray:
     return match
 
 
-def _census_rows(bp: np.ndarray, k: int) -> Census:
-    """Trace one batch of ab pairings and histogram (C, l, conn, tad)."""
-    n2 = 2 * k
-    match = _ab_match(bp)
-    legs = np.arange(4 * k)
+def _census_rows(match: np.ndarray, weight: np.ndarray) -> Census:
+    """Trace leg involution rows and histogram (C, l, conn, tad) by weight."""
+    n = match.shape[1]
+    k = n // 4
+    legs = np.arange(n)
     succ = legs - legs % 4 + (legs + 1) % 4
     C = _row_cycle_counts(match[:, succ])
     lgr = _row_cycle_counts(match ^ 2) // 2
-    conn = _row_connected(bp, k)
-    tad = (bp // 2 == (np.arange(n2, dtype=bp.dtype) // 2)[None, :]).any(axis=1)
+    vcol = match[:, 0::2] // 4
+    conn = _row_connected(vcol, k)
+    tad = (vcol == np.arange(2 * k) // 2).any(axis=1)
     base_l = 2 * k + 2
     key = ((C * base_l + lgr) * 2 + conn) * 2 + tad
-    counts = np.bincount(key.astype(np.int64))
+    counts = np.zeros(int(key.max()) + 1, dtype=np.int64)
+    np.add.at(counts, key, weight)
     out: Census = {}
     for packed in np.nonzero(counts)[0]:
-        c_count = int(counts[packed])
         tadp = bool(packed & 1)
         connp = bool((packed >> 1) & 1)
         rest = packed >> 2
-        out[(int(rest // base_l), int(rest % base_l), connp, tadp)] = c_count
+        out[(int(rest // base_l), int(rest % base_l), connp, tadp)] = \
+            int(counts[packed])
     return out
 
 
@@ -158,13 +175,48 @@ def _merge(into: Census, part: Census) -> None:
         into[key] = into.get(key, 0) + cnt
 
 
-def _census_task(args) -> Census:
-    k, prefix = args
-    bp = _ab_block(k, prefix)
+def _children(k: int, a: int, state: State) -> State:
+    """Pair A-index a in every allowed way, children in parent row order."""
+    bp, used, t, w = state
+    t = t + (a == 2 * t)      # no touched A-index left: touch vertex t
+    j = np.arange(2 * k)
+    rows, cols = np.nonzero((j <= 2 * t[:, None]) & ((used[:, None] >> j) & 1 == 0))
+    t = t[rows]
+    fresh = cols == 2 * t
+    child = bp[rows]
+    child[:, a] = cols
+    return (child, used[rows] | (1 << cols), t + fresh,
+            w[rows] * np.where(fresh, 2 * (k - t), 1))
+
+
+def _leaves(k: int, a: int, state: State):
+    """Complete representatives below ``state`` (depth a), in batches."""
+    if a == 2 * k:
+        yield state
+        return
+    child = _children(k, a, state)
+    for lo in range(0, child[0].shape[0], _ROW_CHUNK):
+        yield from _leaves(k, a + 1, tuple(x[lo:lo + _ROW_CHUNK] for x in child))
+
+
+def _subtree_census(args) -> Census:
+    k, a, state = args
     total: Census = {}
-    for lo in range(0, bp.shape[0], _ROW_CHUNK):
-        _merge(total, _census_rows(bp[lo:lo + _ROW_CHUNK], k))
+    for bp, _used, _t, w in _leaves(k, a, state):
+        _merge(total, _census_rows(_ab_match(bp), w))
     return total
+
+
+def _subtree_tasks(k: int) -> list:
+    """One task per state after the first choices; the largest subtree, all
+    fresh choices, is generated last, so the tasks run in reverse order."""
+    depth = min(_SPLIT_DEPTH, 2 * k)
+    zero = np.zeros(1, dtype=np.int64)
+    state = (np.zeros((1, 2 * k), dtype=np.int32), zero, zero, zero + 1)
+    for a in range(depth):
+        state = _children(k, a, state)
+    return [(k, depth, tuple(x[i:i + 1] for x in state))
+            for i in reversed(range(state[0].shape[0]))]
 
 
 def pairing_census(k: int, threads: int = 1, kmax: int = DEFAULT_KMAX) -> Census:
@@ -177,15 +229,19 @@ def pairing_census(k: int, threads: int = 1, kmax: int = DEFAULT_KMAX) -> Census
         raise ResourceLimitError(f"k={k} outside enumeration range 1..{kmax}")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
-    tasks = [(k, prefix) for prefix in _ab_prefixes(k)]
+    tasks = _subtree_tasks(k)
     total: Census = {}
     if threads == 1:
-        for t in tasks:
-            _merge(total, _census_task(t))
-        return total
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_census_task, tasks, chunksize=1):
-            _merge(total, part)
+        for task in tasks:
+            _merge(total, _subtree_census(task))
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            for part in pool.map(_subtree_census, tasks, chunksize=1):
+                _merge(total, part)
+    if sum(total.values()) != math.factorial(2 * k):
+        raise InvariantViolation(
+            f"k={k}: census weights sum to {sum(total.values())}, "
+            f"not (2k)! = {math.factorial(2 * k)}")
     return total
 
 

@@ -98,21 +98,6 @@ def cos_basis(N: int, d: int) -> list[BasisElement]:
     return out
 
 
-def gram_matrix(basis: list[BasisElement], N: int) -> np.ndarray:
-    """Trace-inner-product Gram matrix; cross-slot products are 0."""
-    n = len(basis)
-    g = np.zeros((n, n))
-    mats = [e.matrix(N) for e in basis]
-    for i in range(n):
-        for j in range(i, n):
-            if (basis[i].family, basis[i].mu) != (basis[j].family, basis[j].mu):
-                continue
-            v = np.trace(mats[i] @ mats[j]).real
-            g[i, j] = v
-            g[j, i] = v
-    return g
-
-
 def _as_hermitian_stack(mats, N: int, d: int, label: str) -> np.ndarray:
     arr = np.asarray(mats, dtype=complex)
     if arr.shape != (d, N, N):

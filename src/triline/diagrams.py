@@ -31,7 +31,7 @@ from itertools import product
 
 from .errors import ResourceLimitError, ValidationError
 
-DEFAULT_KMAX = 6
+DEFAULT_KMAX = 7
 BRUTE_FORCE_ENUM_LIMIT = 400_000
 
 

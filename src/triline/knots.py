@@ -18,7 +18,7 @@ import re
 from .diagrams import DEFAULT_KMAX, Pairing, components_and_genus, \
     enumerate_matchings, is_tadpole
 from .errors import StructureError, ValidationError
-from .series import GaussRational, _vertex_prefactor
+from .series import GaussRational, _vertex_prefactor, gauss_rational_json
 
 OVER = "O"
 UNDER = "U"
@@ -177,10 +177,10 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
 
 
 def knot_record(k: int, code: GaussCode, coeff: GaussRational) -> dict:
+    """One JSON line of the export; the coefficient as exact fractions."""
     return {
         "k": k,
         "code": code.serialize(),
-        "coeff_re": float(coeff.re),
-        "coeff_im": float(coeff.im),
+        **gauss_rational_json(coeff),
         "reduced_code": canonical_code(reduce_R1(code)).serialize(),
     }

@@ -192,14 +192,3 @@ def richardson_limit(f, start: float = 0.1, ratio: float = 0.1,
             return p[0]
         prev = p[0]
     return p[0]
-
-
-def oracle_record(op: str, inputs, epsilon: float, value: complex) -> dict:
-    """JSON-serializable record of one oracle evaluation."""
-    return {
-        "op": op,
-        "inputs": inputs,
-        "epsilon": epsilon,
-        "value_re": float(value.real),
-        "value_im": float(value.imag),
-    }

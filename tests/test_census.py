@@ -2,9 +2,11 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from triline.census import count_matchings, iter_matchings_batched, pairing_census
+from triline.census import (_census_rows, count_matchings, iter_matchings_batched,
+                            pairing_census)
 from triline.diagrams import (Pairing, components_and_genus, enumerate_matchings,
                               is_tadpole)
 from triline.errors import ResourceLimitError
@@ -23,6 +25,17 @@ def test_census_equals_reference(k):
     assert pairing_census(k) == reference_census(k)
 
 
+def test_census_equals_unreduced_fold_k5():
+    # every one of the 10! labeled pairings traced with unit weight: the
+    # representatives and their weights must give the same histogram
+    unreduced = {}
+    for match in iter_matchings_batched(5):
+        ones = np.ones(match.shape[0], dtype=np.int64)
+        for key, n in _census_rows(match, ones).items():
+            unreduced[key] = unreduced.get(key, 0) + n
+    assert pairing_census(5) == unreduced
+
+
 def test_census_total_is_factorial():
     for k in (1, 2, 3, 4):
         assert sum(pairing_census(k).values()) == math.factorial(2 * k)
@@ -33,14 +46,14 @@ def test_parallel_census_bit_identical():
 
 
 @pytest.mark.parametrize("k, want", [(1, 2), (2, 18), (3, 432), (4, 18_144),
-                                     (5, 1_119_744)])
+                                     (5, 1_119_744), (6, 92_378_880)])
 def test_planar_count_equals_tutte(k, want):
     # connected genus-0 ab pairings are rooted planar 4-regular maps
     # (Tutte 1963) times k! 2^k labelings and half-turns over 2k roots
     tutte = (2 ** (k - 1) * math.factorial(k - 1) * 2 * 3 ** k
              * math.factorial(2 * k)
              // (math.factorial(k) * math.factorial(k + 2)))
-    census = pairing_census(k, threads=2 if k == 5 else 1)
+    census = pairing_census(k, threads=2 if k >= 5 else 1)
     planar = sum(n for (C, _l, conn, _tad), n in census.items()
                  if conn and C == k + 2)
     assert planar == tutte == want
@@ -48,7 +61,7 @@ def test_planar_count_equals_tutte(k, want):
 
 def test_census_cap():
     with pytest.raises(ResourceLimitError):
-        pairing_census(7)
+        pairing_census(8)
 
 
 def test_batched_matchings_same_multiset_as_generator():

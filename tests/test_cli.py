@@ -30,6 +30,7 @@ def test_expand_first_order(tmp_path):
 
 
 def test_expand_cap_exit_2():
+    assert run(["expand", "--kmax", "8"]) == 2     # one past the cap
     assert run(["expand", "--kmax", "99"]) == 2
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triline.cosbasis import BasisElement, MatrixPair, cos_basis, gram_matrix
+from triline.cosbasis import BasisElement, MatrixPair, cos_basis
 from triline.errors import ValidationError
 
 
@@ -31,17 +31,6 @@ def test_basis_validation():
         BasisElement("C", 1, "diag", 1, 1)
     with pytest.raises(ValidationError):
         BasisElement("A", 0, "diag", 1, 1)
-
-
-def test_gram_matrix_diagonal():
-    N, d = 3, 2
-    basis = cos_basis(N, d)
-    g = gram_matrix(basis, N)
-    off = g - np.diag(np.diag(g))
-    assert np.max(np.abs(off)) < 1e-14
-    for i, e in enumerate(basis):
-        assert g[i, i] == pytest.approx(e.norm_sq())
-        assert e.norm_sq() == (1.0 if e.k == e.l else 0.5)
 
 
 def test_matrix_pair_validation():

@@ -52,7 +52,7 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
-        next(enumerate_matchings(7))
+        next(enumerate_matchings(8))
     with pytest.raises(ResourceLimitError):
         next(enumerate_matchings(4, kmax=3))
     with pytest.raises(ResourceLimitError):
@@ -155,3 +155,36 @@ def test_loop_counts_stable_under_pair_relabeling(k, rnd):
     rnd.shuffle(pairs)
     q = Pairing.from_pairs(k, pairs)
     assert components_and_genus(q) == components_and_genus(p)
+
+
+def _random_ab_pairing(k, rnd):
+    b_legs = [4 * v + q for v in range(k) for q in (1, 3)]
+    rnd.shuffle(b_legs)
+    a_legs = [4 * v + q for v in range(k) for q in (0, 2)]
+    return Pairing.from_pairs(k, zip(a_legs, b_legs))
+
+
+def _relabel_and_turn(p, perm, turns):
+    # vertex v becomes perm[v]; a half-turn moves position q to q + 2,
+    # which keeps the cyclic order A B A B
+    def move(leg):
+        v, q = divmod(leg, 4)
+        return 4 * perm[v] + (q + 2 * turns[v]) % 4
+    return Pairing.from_pairs(p.k, [(move(x), move(y)) for x, y in p.pairs()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.randoms(use_true_random=False))
+def test_census_key_invariant_under_relabeling_and_half_turns(k, rnd):
+    # the symmetry-reduced census counts one pairing per class of these
+    # moves; it is exact only because they leave (C, l, connected, tadpole)
+    p = _random_ab_pairing(k, rnd)
+    perm = list(range(k))
+    rnd.shuffle(perm)
+    q = _relabel_and_turn(p, perm, [rnd.randrange(2) for _ in range(k)])
+    assert q.is_ab()
+    rp, rq = components_and_genus(p), components_and_genus(q)
+    assert (rq.C, rq.l, rq.components) == (rp.C, rp.l, rp.components)
+    assert sorted(rq.genus_per_component) == sorted(rp.genus_per_component)
+    assert is_tadpole(q) == is_tadpole(p)
+

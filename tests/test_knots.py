@@ -134,8 +134,8 @@ def test_k0_empty():
 def test_knot_record_schema():
     code = GaussCode.parse("O1U1")
     rec = knot_record(1, code, GaussRational.of(0, -1))
-    assert rec == {"k": 1, "code": "O1U1", "coeff_re": 0.0, "coeff_im": -1.0,
-                   "reduced_code": ""}
+    assert rec == {"k": 1, "code": "O1U1", "re_num": 0, "re_den": 1,
+                   "im_num": -1, "im_den": 1, "reduced_code": ""}
 
 
 @settings(max_examples=40, deadline=None)

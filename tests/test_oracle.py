@@ -8,7 +8,7 @@ from triline.cosbasis import MatrixPair
 from triline.errors import InvariantViolation, ValidationError
 from triline.gaussian import A, B, free_partition
 from triline.oracle import (OracleCovariance, gaussian_oracle_moment,
-                            oracle_record, richardson_limit)
+                            richardson_limit)
 
 
 def test_normalization_extrapolates_to_free_partition():
@@ -86,9 +86,3 @@ def test_richardson_relative_tolerance_for_large_values():
     scale = 5.7e10
     got = richardson_limit(lambda e: scale * (1 + e))
     assert got == pytest.approx(scale, rel=1e-9)
-
-
-def test_oracle_record_schema():
-    rec = oracle_record("moment", {"N": 2, "d": 1}, 0.1, 1.5 - 0.5j)
-    assert rec == {"op": "moment", "inputs": {"N": 2, "d": 1},
-                   "epsilon": 0.1, "value_re": 1.5, "value_im": -0.5}
