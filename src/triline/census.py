@@ -21,6 +21,8 @@ A-index a = 0, 1, ... is always the lowest unpaired one on a touched vertex:
 A weight, the product of its choices' weights, counts the labeled pairings
 the representative stands for.  Weights are summed as exact int64; those of
 an order must total (2k)!, or the census raises ``InvariantViolation``.
+``representatives`` streams the same rows and weights, untraced, to the
+knot export and ``verify euler``, which run the reference tracer on them.
 
 Tracing shares no algorithm with the reference tracer in ``diagrams``:
 Latin loops are the cycles of the leg involution ``match`` after ``succ``
@@ -219,6 +221,13 @@ def _subtree_tasks(k: int) -> list:
             for i in reversed(range(state[0].shape[0]))]
 
 
+def representatives(k: int):
+    """Yield (leg involution rows, int64 weights) batches, one row per class."""
+    for _k, a, state in _subtree_tasks(k):
+        for bp, _used, _t, w in _leaves(k, a, state):
+            yield _ab_match(bp), w
+
+
 def pairing_census(k: int, threads: int = 1, kmax: int = DEFAULT_KMAX) -> Census:
     """Exact histogram {(C, l, connected, tadpole): count} over ab pairings.
 
@@ -283,20 +292,21 @@ def iter_matchings_batched(k: int, mode: str = "ab_only",
         return
     if n != 20:
         raise ResourceLimitError(f"all-mode batching beyond 4k=20 refused")
-    base = _all_match_table(16)
-    out = np.empty((base.shape[0], n), dtype=np.int8)
+    # one leg per row of ``out``, yielded transposed: contiguous writes
+    base = np.ascontiguousarray(_all_match_table(16).T)
+    out = np.empty((n, base.shape[1]), dtype=np.int8)
     for j0 in range(1, n):
         rest0 = [x for x in range(1, n) if x != j0]
         a1 = rest0[0]
         for j1 in rest0[1:]:
             lab = np.array([x for x in rest0 if x not in (a1, j1)],
                            dtype=np.int8)
-            out[:, lab] = lab[base]
-            out[:, 0] = j0
-            out[:, j0] = 0
-            out[:, a1] = j1
-            out[:, j1] = a1
-            yield out
+            out[lab] = lab[base]
+            out[0] = j0
+            out[j0] = 0
+            out[a1] = j1
+            out[j1] = a1
+            yield out.T
 
 
 def count_matchings(k: int, mode: str = "ab_only",

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosbasis import MatrixPair
-from .diagrams import (DEFAULT_KMAX, components_and_genus, diagram_record,
-                       enumerate_matchings)
+from .census import Census, representatives
+from .diagrams import (DEFAULT_KMAX, Pairing, components_and_genus,
+                       diagram_record, is_tadpole)
 from .errors import (InvariantViolation, ResourceLimitError, StructureError,
                      ValidationError)
 from .gaussian import (EntrySymbol, RegKernel, _quartic_monomials,
                        iter_pair_partitions, propagator, u_bound_check,
                        wick_moment, wick_order_quartic)
-from .knots import enumerate_knot_diagrams, knot_record
+from .knots import KNOTS_KMAX, enumerate_knot_diagrams, knot_record
 from .oracle import gaussian_oracle_moment, richardson_limit
 from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, LnZFull, assemble_Z,
                      census_table, connected_assemble, double_limit_check,
@@ -183,19 +184,22 @@ def cmd_expand(cfg: RunConfig) -> int:
 
 
 def cmd_knots(cfg: RunConfig) -> int:
+    if cfg.kmax > KNOTS_KMAX:
+        raise ResourceLimitError(f"knots: kmax must be <= {KNOTS_KMAX}")
     lines = []
-    per_order = {}
+    per_order = []
     for k in range(1, cfg.kmax + 1):
-        records = [knot_record(k, code, coeff)
-                   for code, coeff in enumerate_knot_diagrams(
-                       k, cfg.convention, cfg.action)]
-        records.sort(key=lambda r: (r["k"], r["code"]))
-        per_order[k] = len(records)
-        lines.extend(json.dumps(r, sort_keys=True, separators=(",", ":"))
-                     for r in records)
-    _emit(cfg, "".join(line + "\n" for line in lines))
-    _note("knot diagrams per order: "
-          + ", ".join(f"k={k}: {n}" for k, n in per_order.items()))
+        codes = enumerate_knot_diagrams(k, cfg.convention, cfg.action)
+        codes.sort(key=lambda c: c[0].serialize())
+        for code, mult, coeff in codes:
+            line = json.dumps(knot_record(k, code, coeff), sort_keys=True,
+                              separators=(",", ":"))
+            lines.append((line + "\n") * mult)
+        reps = sum(w.size for _, w in representatives(k))
+        per_order.append(f"k={k}: {sum(m for _, m, _ in codes)} "
+                         f"({len(codes)} codes, {reps} representatives)")
+    _emit(cfg, "".join(lines))
+    _note("knot diagrams per order: " + ", ".join(per_order))
     return 0
 
 
@@ -262,17 +266,30 @@ def _verify_wick(cfg: RunConfig, failures: list[str]) -> None:
 
 def _verify_euler(cfg: RunConfig, failure_records: list[dict],
                   failures: list[str]) -> None:
+    # the reference tracer's weighted fold must equal the census
+    censuses = census_table(cfg.kmax, threads=cfg.threads)
     for k in range(1, cfg.kmax + 1):
-        for p in enumerate_matchings(k, mode="ab_only"):
-            try:
-                rep = components_and_genus(p)
-            except InvariantViolation as exc:
-                failures.append(f"k={k} match={p.match}: {exc}")
-                failure_records.append(diagram_record(p))
-                continue
-            if any(g < 0 for g in rep.genus_per_component):
-                failures.append(f"k={k} match={p.match}: negative genus")
-                failure_records.append(diagram_record(p))
+        fold: Census = {}
+        reps = 0
+        for match, weight in representatives(k):
+            reps += weight.size
+            for row, w in zip(match.tolist(), weight.tolist()):
+                p = Pairing(k, tuple(row))
+                try:
+                    rep = components_and_genus(p)
+                except InvariantViolation as exc:  # diagram_record re-traces
+                    failures.append(f"k={k} match={p.match}: {exc}")
+                    failure_records.append({"k": k, "match": p.pairs()})
+                    continue
+                if any(g < 0 for g in rep.genus_per_component):
+                    failures.append(f"k={k} match={p.match}: negative genus")
+                    failure_records.append(diagram_record(p))
+                key = (rep.C, rep.l, rep.components == 1, is_tadpole(p))
+                fold[key] = fold.get(key, 0) + w
+        if fold != censuses[k]:
+            failures.append(f"k={k}: weighted reference fold != census")
+        _note(f"euler k={k}: {reps} representatives, "
+              f"total weight {sum(fold.values())}")
 
 
 def _verify_logcheck(cfg: RunConfig, failures: list[str]) -> None:

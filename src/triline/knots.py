@@ -9,15 +9,20 @@ the lexicographically least rotation with crossings relabeled in order of
 first appearance; mirror/reversal identification is deliberately not
 applied.  A same-vertex contraction shows up as a kink, removable by the
 first Reidemeister move; ``reduce_R1`` deletes kinks to a fixed point.
+
+The export walks one census representative per class: a shadow is
+connected, so its class fixes vertex 0 and its orientation, and relabeling
+or half-turning the other vertices leaves its canonical code unchanged.  A
+code's multiplicity sums its class weights; ``knots`` writes it that often.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 import re
 
-from .diagrams import DEFAULT_KMAX, Pairing, components_and_genus, \
-    enumerate_matchings, is_tadpole
-from .errors import StructureError, ValidationError
+from .census import representatives
+from .diagrams import Pairing, components_and_genus, is_tadpole
+from .errors import ResourceLimitError, StructureError, ValidationError
 from .series import GaussRational, _vertex_prefactor, gauss_rational_json
 
 OVER = "O"
@@ -146,34 +151,39 @@ def canonical_code(c: GaussCode) -> GaussCode:
 
 
 TREFOIL = GaussCode.parse("O1U2O3U1O2U3")
+KNOTS_KMAX = 5    # one line per labeled pairing: k = 6 would be 51,440,640
 
 
 def enumerate_knot_diagrams(k: int, convention: str = "action",
-                            action: str = "standard",
-                            kmax: int = DEFAULT_KMAX):
-    """Canonical codes of order-k knot shadows with exact coefficients.
+                            action: str = "standard"):
+    """Canonical codes of order-k knot shadows with their multiplicities.
 
-    Each connected planar single-Greek-loop pairing contributes the same
-    coefficient, the order-k vertex prefactor; their sum over the emitted
-    list is the g^k term of F_{1,0}.  ``wick_ordered`` drops tadpole
-    pairings.  Returns a list of (GaussCode, GaussRational).
+    Each connected planar single-Greek-loop pairing contributes the order-k
+    vertex prefactor; multiplicity times coefficient, summed over the list,
+    is the g^k term of F_{1,0}.  ``wick_ordered`` drops tadpole pairings.
+    Returns a list of (GaussCode, multiplicity, GaussRational).
     """
     if action not in ("standard", "wick_ordered"):
         raise ValidationError(
             "knot export is defined for the standard quartic; the symmetric "
             "quadratic form mixes in same-family pairings with no knot reading")
+    if not 0 <= k <= KNOTS_KMAX:
+        raise ResourceLimitError(f"knot export k={k} outside 0..{KNOTS_KMAX}")
     if k == 0:
         return []
+    counts: dict[GaussCode, int] = {}
+    for match, weight in representatives(k):
+        for row, w in zip(match.tolist(), weight.tolist()):
+            p = Pairing(k, tuple(row))
+            rep = components_and_genus(p)
+            if rep.components != 1 or rep.l != 1 or rep.C != k + 2:
+                continue
+            if action == "wick_ordered" and is_tadpole(p):
+                continue
+            code = canonical_code(to_gauss_code(p))
+            counts[code] = counts.get(code, 0) + w
     pref = _vertex_prefactor(k, convention)
-    out = []
-    for p in enumerate_matchings(k, mode="ab_only", kmax=kmax):
-        rep = components_and_genus(p)
-        if rep.components != 1 or rep.l != 1 or rep.C != k + 2:
-            continue
-        if action == "wick_ordered" and is_tadpole(p):
-            continue
-        out.append((canonical_code(to_gauss_code(p)), pref))
-    return out
+    return [(code, mult, pref) for code, mult in counts.items()]
 
 
 def knot_record(k: int, code: GaussCode, coeff: GaussRational) -> dict:

@@ -1,10 +1,13 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
 import json
+from collections import Counter
 
 import pytest
 
+from triline import cli
 from triline.cli import RunConfig, build_config, load_config_file, main, make_parser
-from triline.errors import ValidationError
+from triline.errors import InvariantViolation, ValidationError
+from triline.knots import enumerate_knot_diagrams
 
 
 def run(args):
@@ -56,6 +59,39 @@ def test_knots_contains_trefoil(tmp_path):
     assert run(["knots", "--kmax", "3", "--out", str(out)]) == 0
     codes = [json.loads(line)["code"] for line in out.read_text().splitlines()]
     assert "O1U2O3U1O2U3" in codes
+
+
+def test_knots_write_each_code_multiplicity_times(tmp_path):
+    out = tmp_path / "k.jsonl"
+    assert run(["knots", "--kmax", "4", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    keys = [(r["k"], r["code"]) for r in map(json.loads, lines)]
+    assert keys == sorted(keys)
+    want = {(k, c.serialize()): m for k in range(1, 5)
+            for c, m, _ in enumerate_knot_diagrams(k)}
+    assert Counter(keys) == want and len(set(lines)) == len(want)
+    assert len(lines) == 2 + 16 + 336 + 12_480
+
+
+def test_knots_cap_exit_2(capsys):
+    assert run(["knots", "--kmax", "6"]) == 2
+    assert "kmax must be <= 5" in capsys.readouterr().err
+
+
+def test_verify_euler_fails_on_census_mismatch(monkeypatch, capsys):
+    real = cli.census_table
+
+    def off_by_one(kmax, threads=1):
+        table = real(kmax, threads)
+        key = next(iter(table[2]))
+        table[2] = {**table[2], key: table[2][key] + 1}
+        return table
+
+    monkeypatch.setattr(cli, "census_table", off_by_one)
+    assert run(["verify", "euler", "--kmax", "3"]) == 1
+    fails = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("FAIL")]
+    assert fails == ["FAIL k=2: weighted reference fold != census"]
 
 
 def test_outputs_thread_independent(tmp_path):
@@ -128,3 +164,19 @@ def test_wick_ordered_expand(tmp_path):
     payload = json.loads(out.read_text())
     ks = {t["k"] for t in payload["z_series"]["terms"]}
     assert 1 not in ks      # order g is pure tadpole, removed by ordering
+
+
+def test_verify_euler_records_untraceable_pairings(monkeypatch, tmp_path):
+    real = cli.components_and_genus
+
+    def broken(p):
+        if p.k == 2 and p.match[0] == 1:
+            raise InvariantViolation("forced")
+        return real(p)
+
+    monkeypatch.setattr(cli, "components_and_genus", broken)
+    out = tmp_path / "fail.jsonl"
+    assert run(["verify", "euler", "--kmax", "3", "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records and all(r["k"] == 2 and r["match"][0] == [0, 1]
+                           for r in records)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triline.census import pairing_census
 from triline.diagrams import Pairing, components_and_genus, enumerate_matchings, \
     is_tadpole, trace_greek_loops
-from triline.errors import StructureError, ValidationError
-from triline.knots import (GaussCode, TREFOIL, alternating_check, canonical_code,
-                           enumerate_knot_diagrams, knot_record, reduce_R1,
-                           to_gauss_code)
+from triline.errors import ResourceLimitError, StructureError, ValidationError
+from triline.knots import (GaussCode, KNOTS_KMAX, TREFOIL, alternating_check,
+                           canonical_code, enumerate_knot_diagrams, knot_record,
+                           reduce_R1, to_gauss_code)
 from triline.series import (GaussRational, census_table, connected_assemble,
                             extract_Flp)
 
@@ -76,28 +77,64 @@ def test_canonical_code_rotation_invariance():
         assert canonical_code(rot) == canonical_code(base)
 
 
+def multiplicities(k, action="standard"):
+    return {c.serialize(): m
+            for c, m, _ in enumerate_knot_diagrams(k, action=action)}
+
+
+def per_pairing_codes(k):
+    """Reference fold: every labeled pairing walked, per action."""
+    std, wo = Counter(), Counter()
+    for p in enumerate_matchings(k, mode="ab_only"):
+        rep = components_and_genus(p)
+        if rep.components != 1 or rep.l != 1 or rep.C != k + 2:
+            continue
+        code = canonical_code(to_gauss_code(p)).serialize()
+        std[code] += 1
+        if not is_tadpole(p):
+            wo[code] += 1
+    return dict(std), dict(wo)
+
+
 def test_enumerated_codes_frozen():
     for k, want in FROZEN_CODES.items():
-        got = Counter(c.serialize() for c, _ in enumerate_knot_diagrams(k))
-        assert dict(got) == want
+        assert multiplicities(k) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_multiplicities_equal_per_pairing_fold(k):
+    std, wo = per_pairing_codes(k)
+    assert multiplicities(k) == std
+    assert multiplicities(k, "wick_ordered") == wo
 
 
 def test_coefficients_sum_to_f10():
-    table = extract_Flp(connected_assemble(census_table(3)))
-    for k in (1, 2, 3):
+    table = extract_Flp(connected_assemble(census_table(5)))
+    for k in range(1, 6):
         total = GaussRational()
-        for _, coeff in enumerate_knot_diagrams(k):
-            total = total + coeff
+        for _, mult, coeff in enumerate_knot_diagrams(k):
+            total = total + mult * coeff
         assert total == table.poly(1, 0)[k]
 
 
+def test_knots_cap_at_its_bound():
+    # k = 5 is the last order exported: one line per labeled knot shadow,
+    # as many as the census's connected single-loop planar pairings
+    shadows = sum(n for (C, l, conn, _tad), n in pairing_census(5).items()
+                  if conn and l == 1 and C == 5 + 2)
+    lines = sum(m for _, m, _ in enumerate_knot_diagrams(KNOTS_KMAX))
+    assert KNOTS_KMAX == 5 and lines == shadows == 689_664
+    with pytest.raises(ResourceLimitError):
+        enumerate_knot_diagrams(KNOTS_KMAX + 1)
+
+
 def test_k1_exports_reduce_to_empty():
-    for code, _ in enumerate_knot_diagrams(1):
+    for code, _, _ in enumerate_knot_diagrams(1):
         assert reduce_R1(code).serialize() == ""
 
 
 def test_trefoil_present_and_r1_fixed_at_k3():
-    fixed = [c for c, _ in enumerate_knot_diagrams(3)
+    fixed = [c for c, _, _ in enumerate_knot_diagrams(3)
              if reduce_R1(c) == c and c.crossings() == 3]
     assert fixed and all(c == TREFOIL for c in fixed)
     assert all(alternating_check(c) for c in fixed)
@@ -115,9 +152,8 @@ def test_tadpole_pairings_produce_kinks():
 
 
 def test_wick_ordered_export_is_tadpole_free_subset():
-    std = Counter(c.serialize() for c, _ in enumerate_knot_diagrams(3))
-    wo = Counter(c.serialize()
-                 for c, _ in enumerate_knot_diagrams(3, action="wick_ordered"))
+    std = multiplicities(3)
+    wo = multiplicities(3, "wick_ordered")
     assert set(wo) <= set(std)
     assert wo == {"O1U2O3U1O2U3": 16}
 
@@ -141,7 +177,7 @@ def test_knot_record_schema():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.randoms(use_true_random=False))
 def test_reduce_r1_confluent_under_random_deletion_order(k, rnd):
-    pool = [c for c, _ in enumerate_knot_diagrams(k)]
+    pool = [c for c, _, _ in enumerate_knot_diagrams(k)]
     code = pool[rnd.randrange(len(pool))]
     entries = list(code.entries)
     # random-order kink deletion must land on the same fixed point
