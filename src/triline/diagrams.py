@@ -335,17 +335,3 @@ def brute_force_index_sum(p: Pairing, N: int, d: int,
         free_grk = len({grk.find(i) for i in range(2 * k)})
         count = N ** free_lat * d ** free_grk
     return (1j) ** (2 * k) * count
-
-
-def diagram_record(p: Pairing) -> dict:
-    """JSON-serializable dump of one diagram's combinatorial data."""
-    rep = components_and_genus(p)
-    return {
-        "k": p.k,
-        "match": [[a, b] for a, b in p.pairs()],
-        "C": rep.C,
-        "l": rep.l,
-        "components": rep.components,
-        "genus": list(rep.genus_per_component),
-        "tadpole": is_tadpole(p),
-    }

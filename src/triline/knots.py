@@ -93,6 +93,11 @@ def to_gauss_code(p: Pairing) -> GaussCode:
     if problems:
         raise StructureError(
             "not a knot shadow: " + ", ".join(problems))
+    return _strand_walk(p)
+
+
+def _strand_walk(p: Pairing) -> GaussCode:
+    """The Gauss code of a pairing already known to be a knot shadow."""
     match = p.match
     entries = []
     cur = 0
@@ -180,7 +185,7 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
                 continue
             if action == "wick_ordered" and is_tadpole(p):
                 continue
-            code = canonical_code(to_gauss_code(p))
+            code = canonical_code(_strand_walk(p))
             counts[code] = counts.get(code, 0) + w
     pref = _vertex_prefactor(k, convention)
     return [(code, mult, pref) for code, mult in counts.items()]

@@ -7,7 +7,8 @@ the weight as exp(-1/2 y^T M y) with a complex symmetric coupling matrix
 M whose real part eps*I is positive definite, everything is exact linear
 algebra:
 
-* moments: Isserlis pairing sums over the inverse coupling Sigma = M^{-1};
+* moments: Isserlis pairing sums over one entry-covariance matrix per
+  eps, K = C Sigma C^T with Sigma = M^{-1}, batched over products;
 * normalization: (2 pi)^{n/2} / sqrt(det M);
 * characteristic function: normalization * exp(-1/2 j^T Sigma j).
 
@@ -23,22 +24,41 @@ import math
 
 import numpy as np
 
-from .cosbasis import KIND_DIAG, KIND_IM, KIND_RE, MatrixPair, cos_basis
+from .cosbasis import FAMILIES, KIND_DIAG, KIND_RE, MatrixPair, cos_basis
 from .errors import InvariantViolation, ValidationError
-from .gaussian import (ACTION_QUAD, ACTION_STANDARD, ACTIONS, EntrySymbol,
-                       validate_entries)
+from .gaussian import ACTION_QUAD, ACTION_STANDARD, ACTIONS, validate_entries
 
 _RESIDUAL_TOL = 1e-10
 
 
-class OracleCovariance:
-    """Coupling matrix and inverse of the regularized Gaussian.
+def _position(family: str, mu: int, k: int, l: int, N: int, d: int) -> int:
+    return ((FAMILIES.index(family) * d + mu - 1) * N + k - 1) * N + l - 1
 
-    Coordinates are labelled by the orthogonal-basis tags of ``cos_basis``;
-    the coupling is block 2x2 across the two family slots for each shared
-    (mu, kind, k, l) tag: s * (eps * I - i * M_q), where M_q is the per-pair
-    quadratic form of the action and s = 1 for diagonal coordinates, 2 for
-    off-diagonal ones (off-diagonal entries appear twice in each trace).
+
+def entry_positions(entries, N: int, d: int) -> np.ndarray:
+    """Bounds-checked positions of entry symbols in the oracle's entry order.
+
+    ``entries`` is one product or a list of equally long products; the
+    result has its shape.  Entry (family, mu, k, l) sits at
+    ((family * d + mu - 1) * N + k - 1) * N + l - 1, family A = 0, B = 1.
+    """
+    arr = np.array(entries, dtype=object)
+    validate_entries(arr.flat, N, d)
+    pos = [_position(e.family, e.mu, e.k, e.l, N, d) for e in arr.flat]
+    return np.array(pos, dtype=np.intp).reshape(arr.shape)
+
+
+class OracleCovariance:
+    """Coupling matrix, its inverse, and the entry covariance of one eps.
+
+    Coordinates are the orthogonal-basis tags of ``cos_basis``, family A's
+    block first and family B's in the same order.  The coupling pairs each
+    A coordinate with its B twin: s * (eps * I - i * M_q), where M_q is the
+    per-pair quadratic form of the action and s = 1 for diagonal
+    coordinates, 2 for off-diagonal ones (off-diagonal entries appear twice
+    in each trace).  ``cov = C Sigma C^T`` holds the second moment of every
+    pair of matrix entries in ``entry_positions`` order, C expanding each
+    entry over the coordinates (coefficients 1 and +-i).
     """
 
     def __init__(self, N: int, d: int, epsilon: float,
@@ -54,27 +74,10 @@ class OracleCovariance:
         self.epsilon = epsilon
         self.action = action
         self.labels = cos_basis(N, d)
-        self.index = {(e.family, e.mu, e.kind, e.k, e.l): i
-                      for i, e in enumerate(self.labels)}
         n = len(self.labels)
-        mq = ACTION_QUAD[action]
-        M = np.zeros((n, n), dtype=complex)
-        fam = ("A", "B")
-        for mu in range(1, d + 1):
-            for kind in (KIND_DIAG, KIND_RE, KIND_IM):
-                if kind == KIND_DIAG:
-                    tags = [(k, k) for k in range(1, N + 1)]
-                    s = 1.0
-                else:
-                    tags = [(k, l) for k in range(1, N + 1)
-                            for l in range(k + 1, N + 1)]
-                    s = 2.0
-                for (k, l) in tags:
-                    idx = [self.index[(f, mu, kind, k, l)] for f in fam]
-                    for i in range(2):
-                        for j in range(2):
-                            M[idx[i], idx[j]] = s * (
-                                (epsilon if i == j else 0.0) - 1j * mq[i][j])
+        scale = [1.0 if e.kind == KIND_DIAG else 2.0 for e in self.labels[:n // 2]]
+        block = epsilon * np.eye(2) - 1j * np.array(ACTION_QUAD[action])
+        M = np.kron(block, np.diag(scale))
         self.coupling = M
         try:
             self.inverse = np.linalg.inv(M)
@@ -84,45 +87,38 @@ class OracleCovariance:
         if resid > _RESIDUAL_TOL:
             raise InvariantViolation(
                 f"coupling inverse residual {resid:g} exceeds {_RESIDUAL_TOL}")
-        self._entry_cov: dict[tuple[EntrySymbol, EntrySymbol], complex] = {}
+        C = np.zeros((n, n), dtype=complex)
+        for i, e in enumerate(self.labels):
+            kl = _position(e.family, e.mu, e.k, e.l, N, d)
+            lk = _position(e.family, e.mu, e.l, e.k, N, d)
+            if e.kind == KIND_DIAG:
+                C[kl, i] = 1.0
+            elif e.kind == KIND_RE:
+                C[kl, i] = C[lk, i] = 1.0
+            else:
+                C[kl, i], C[lk, i] = 1.0j, -1.0j
+        self.cov = C @ self.inverse @ C.T
 
-    def _coords(self, e: EntrySymbol) -> list[tuple[int, complex]]:
-        """Expand one matrix entry over real coordinates with coefficients."""
-        if e.k == e.l:
-            return [(self.index[(e.family, e.mu, KIND_DIAG, e.k, e.k)], 1.0)]
-        if e.k < e.l:
-            return [(self.index[(e.family, e.mu, KIND_RE, e.k, e.l)], 1.0),
-                    (self.index[(e.family, e.mu, KIND_IM, e.k, e.l)], 1.0j)]
-        return [(self.index[(e.family, e.mu, KIND_RE, e.l, e.k)], 1.0),
-                (self.index[(e.family, e.mu, KIND_IM, e.l, e.k)], -1.0j)]
+    def moments(self, pos) -> np.ndarray:
+        """Normalized moments of a batch of products (Isserlis expansion).
 
-    def entry_covariance(self, x: EntrySymbol, y: EntrySymbol) -> complex:
-        """Second moment of two matrix entries at this eps."""
-        key = (x, y)
-        cached = self._entry_cov.get(key)
-        if cached is not None:
-            return cached
-        validate_entries((x, y), self.N, self.d)
-        total = 0.0 + 0.0j
-        for ix, cx in self._coords(x):
-            for iy, cy in self._coords(y):
-                total += cx * cy * self.inverse[ix, iy]
-        self._entry_cov[key] = total
-        self._entry_cov[(y, x)] = total
-        return total
+        ``pos`` is a (products x factors) array of ``entry_positions``;
+        odd-degree rows give 0.
+        """
+        pos = np.asarray(pos, dtype=np.intp)
+        if pos.ndim != 2:
+            raise ValidationError("moments expects a (products x factors) array")
+        if pos.size and (pos.min() < 0 or pos.max() >= len(self.cov)):
+            raise ValidationError(
+                f"entry position out of bounds for N={self.N}, d={self.d}")
+        if pos.shape[1] % 2 == 1:
+            return np.zeros(len(pos), dtype=complex)
+        return _isserlis(self.cov, pos)
 
     def moment(self, entries) -> complex:
-        """Normalized moment of a product of entries (Isserlis expansion)."""
-        entries = list(entries)
-        validate_entries(entries, self.N, self.d)
-        n = len(entries)
-        if n % 2 == 1:
-            return 0.0 + 0.0j
-        if n == 0:
-            return 1.0 + 0.0j
-        cov = [[self.entry_covariance(entries[i], entries[j])
-                for j in range(n)] for i in range(n)]
-        return _isserlis(cov, tuple(range(n)))
+        """Normalized moment of one product of entries."""
+        pos = entry_positions([tuple(entries)], self.N, self.d)
+        return complex(self.moments(pos)[0])
 
     def normalization(self) -> complex:
         """Total Gaussian integral (2 pi)^{n/2} / sqrt(det M)."""
@@ -148,47 +144,50 @@ class OracleCovariance:
         return self.normalization() * np.exp(-0.5 * (j @ self.inverse @ j))
 
 
-def _isserlis(cov, idx) -> complex:
-    if not idx:
-        return 1.0 + 0.0j
-    x = idx[0]
-    total = 0.0 + 0.0j
-    for j in range(1, len(idx)):
-        sub = idx[1:j] + idx[j + 1:]
-        c = cov[x][idx[j]]
-        if c != 0:
-            total += c * _isserlis(cov, sub)
+def _isserlis(cov: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Sum over pairings of the first factor, row by row, then recurse."""
+    total = np.zeros(len(pos), dtype=complex)
+    if pos.shape[1] == 0:
+        return total + 1.0
+    for j in range(1, pos.shape[1]):
+        rest = np.delete(pos, (0, j), axis=1)
+        total += cov[pos[:, 0], pos[:, j]] * _isserlis(cov, rest)
     return total
 
 
 @functools.lru_cache(maxsize=128)
-def _cached_oracle(N: int, d: int, epsilon: float, action: str) -> OracleCovariance:
+def cached_oracle(N: int, d: int, epsilon: float,
+                  action: str = ACTION_STANDARD) -> OracleCovariance:
+    """One shared ``OracleCovariance`` per (N, d, eps, action)."""
     return OracleCovariance(N, d, epsilon, action)
 
 
 def gaussian_oracle_moment(entries, N: int, d: int, epsilon: float,
                            action: str = ACTION_STANDARD) -> complex:
     """Oracle moment at one eps; callers extrapolate eps -> 0."""
-    return _cached_oracle(N, d, epsilon, action).moment(tuple(entries))
+    return cached_oracle(N, d, epsilon, action).moment(entries)
 
 
 def richardson_limit(f, start: float = 0.1, ratio: float = 0.1,
-                     tol: float = 1e-9, max_points: int = 6) -> complex:
+                     tol: float = 1e-9, max_points: int = 6):
     """Extrapolate f(eps) to eps = 0 along a geometric sequence.
 
     Neville's tableau evaluated at 0; stops once successive diagonal
     estimates agree to ``tol`` (relative for values above 1 in modulus).
+    An array-valued f is extrapolated element by element and stops when
+    every element agrees; a scalar f returns a ``complex``.
     """
     xs: list[float] = []
-    p: list[complex] = []
+    p: list[np.ndarray] = []
     prev = None
     for m in range(max_points):
         x = start * ratio ** m
         xs.append(x)
-        p.append(complex(f(x)))
+        p.append(np.asarray(f(x), dtype=complex))
         for j in range(len(p) - 2, -1, -1):
             p[j] = (x * p[j] - xs[j] * p[j + 1]) / (x - xs[j])
-        if prev is not None and abs(p[0] - prev) <= tol * max(1.0, abs(p[0])):
-            return p[0]
+        if prev is not None and np.all(
+                np.abs(p[0] - prev) <= tol * np.maximum(1.0, np.abs(p[0]))):
+            break
         prev = p[0]
-    return p[0]
+    return complex(p[0]) if p[0].ndim == 0 else p[0]

@@ -9,6 +9,8 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from triline.census import count_matchings, pairing_census
 from triline.diagrams import (brute_force_index_sum, components_and_genus,
                               enumerate_matchings, is_tadpole)
@@ -18,8 +20,8 @@ from triline.gaussian import (EntrySymbol, _quartic_monomials, free_partition,
 from triline.knots import (TREFOIL, alternating_check, canonical_code,
                            enumerate_knot_diagrams, reduce_R1)
 from triline.mixed import counterterm_series
-from triline.oracle import (OracleCovariance, gaussian_oracle_moment,
-                            richardson_limit)
+from triline.oracle import (OracleCovariance, cached_oracle, entry_positions,
+                            gaussian_oracle_moment, richardson_limit)
 from triline.series import (F_of_g, GaussRational, assemble_Z, census_table,
                             connected_assemble, double_limit_check, extract_Flp,
                             formal_log, full_ln_z)
@@ -78,13 +80,13 @@ def test_criterion_03_wick_theorem():
         for d in (1, 2):
             pool = entry_pool(N, d)
             for deg in (4, 6):
-                for combo in itertools.combinations_with_replacement(pool, deg):
-                    entries = list(combo)
-                    want = wick_moment(entries)
-                    got = richardson_limit(
-                        lambda e: gaussian_oracle_moment(entries, N, d, e))
-                    worst = max(worst, abs(got - complex(want)))
-                    moments += 1
+                combos = list(itertools.combinations_with_replacement(pool, deg))
+                want = np.array([wick_moment(c) for c in combos])
+                pos = entry_positions(combos, N, d)
+                got = richardson_limit(
+                    lambda e: cached_oracle(N, d, e).moments(pos))
+                worst = max(worst, float(np.max(np.abs(got - want))))
+                moments += len(combos)
     report(3, "all degree-4/6 moments at N <= 2, d <= 2: pairing sum = "
               "oracle, abs err < 1e-8; pairing counts exact",
            worst < 1e-8, f"{moments} moments, worst abs err {worst:.2e}")

@@ -180,3 +180,31 @@ def test_verify_euler_records_untraceable_pairings(monkeypatch, tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert records and all(r["k"] == 2 and r["match"][0] == [0, 1]
                            for r in records)
+
+
+def test_verify_propagators_fails_on_wrong_propagator(monkeypatch, capsys):
+    real = cli.propagator
+
+    def no_greek_delta(x, y, N=None, d=None):
+        if x.mu != y.mu and x.family != y.family:
+            return 1j
+        return real(x, y, N=N, d=d)
+
+    monkeypatch.setattr(cli, "propagator", no_greek_delta)
+    assert run(["verify", "propagators", "--N", "1", "--d", "2"]) == 1
+    fails = sorted(line.split(":")[0] for line in
+                   capsys.readouterr().err.splitlines()
+                   if line.startswith("FAIL"))
+    assert fails == sorted(f"FAIL propagator N=1 d=2 {x}{a}^{{11}} {y}{b}^{{11}}"
+                           for x, y in ("AB", "BA") for a, b in ((1, 2), (2, 1)))
+
+
+def test_verify_wick_fails_on_wrong_counterterm(monkeypatch, capsys):
+    assert run(["verify", "wick", "--N", "1,2", "--d", "1"]) == 0
+    real = cli.wick_order_quartic
+    monkeypatch.setattr(cli, "wick_order_quartic",
+                        lambda N, d: (real(N, d)[0], real(N, d)[1] + 1e-6))
+    assert run(["verify", "wick", "--N", "1,2", "--d", "1"]) == 1
+    fails = [line.split(" = ")[0] for line in capsys.readouterr().err.splitlines()
+             if line.startswith("FAIL")]
+    assert fails == ["FAIL E[:quartic:] N=1 d=1", "FAIL E[:quartic:] N=2 d=1"]

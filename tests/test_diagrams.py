@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triline.diagrams import (LoopReport, Pairing, brute_force_index_sum,
-                              components_and_genus, diagram_record,
-                              diagram_weight, enumerate_matchings, is_tadpole,
+                              components_and_genus, diagram_weight,
+                              enumerate_matchings, is_tadpole,
                               trace_greek_loops, trace_latin_loops)
 from triline.errors import ResourceLimitError, ValidationError
 
@@ -135,13 +135,6 @@ def test_tadpole_census():
         free = sum(1 for p in enumerate_matchings(k, mode="ab_only")
                    if not is_tadpole(p))
         assert free == want_free
-
-
-def test_diagram_record_schema():
-    p = Pairing.from_pairs(1, [(0, 1), (2, 3)])
-    rec = diagram_record(p)
-    assert rec == {"k": 1, "match": [[0, 1], [2, 3]], "C": 3, "l": 1,
-                   "components": 1, "genus": [0], "tadpole": True}
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,8 +7,8 @@ import pytest
 from triline.cosbasis import MatrixPair
 from triline.errors import InvariantViolation, ValidationError
 from triline.gaussian import A, B, free_partition
-from triline.oracle import (OracleCovariance, gaussian_oracle_moment,
-                            richardson_limit)
+from triline.oracle import (OracleCovariance, cached_oracle, entry_positions,
+                            gaussian_oracle_moment, richardson_limit)
 
 
 def test_normalization_extrapolates_to_free_partition():
@@ -30,12 +30,12 @@ def test_coupling_inverse_residual_guard():
 def test_entry_covariance_finite_epsilon_values():
     # at finite eps the same-family transposed pair is eps/(1+eps^2), not 0
     orc = OracleCovariance(2, 1, 0.3)
-    val = orc.entry_covariance(A(1, 1, 2), A(1, 2, 1))
+    val = orc.moment([A(1, 1, 2), A(1, 2, 1)])
     assert val == pytest.approx(0.3 / 1.09, rel=1e-10)
     # the non-transposed same-family pair vanishes at every eps
-    assert abs(orc.entry_covariance(A(1, 1, 2), A(1, 1, 2))) < 1e-14
+    assert abs(orc.moment([A(1, 1, 2), A(1, 1, 2)])) < 1e-14
     # cross-family transposed pair tends to i
-    cross = orc.entry_covariance(A(1, 1, 2), B(1, 2, 1))
+    cross = orc.moment([A(1, 1, 2), B(1, 2, 1)])
     assert cross == pytest.approx(1j / 1.09, rel=1e-10)
 
 
@@ -86,3 +86,76 @@ def test_richardson_relative_tolerance_for_large_values():
     scale = 5.7e10
     got = richardson_limit(lambda e: scale * (1 + e))
     assert got == pytest.approx(scale, rel=1e-9)
+
+
+def _pool(N, d):
+    return [(A if f == "A" else B)(mu, k, l) for f in "AB"
+            for mu in range(1, d + 1) for k in range(1, N + 1)
+            for l in range(1, N + 1)]
+
+
+def test_entry_positions_follow_pool_order_and_check_bounds():
+    pool = _pool(2, 2)
+    assert entry_positions(pool, 2, 2).tolist() == list(range(len(pool)))
+    assert entry_positions([pool[:2], pool[2:4]], 2, 2).shape == (2, 2)
+    with pytest.raises(ValidationError):
+        entry_positions([A(3, 1, 1)], 2, 2)
+    orc = OracleCovariance(2, 2, 0.1)
+    with pytest.raises(ValidationError):
+        orc.moments(np.array([[0, len(pool)]]))
+    with pytest.raises(ValidationError):
+        orc.moments(np.array([[-1, 0]]))
+
+
+def test_moments_batch_equals_per_product_rows():
+    N, d = 2, 2
+    pool = _pool(N, d)
+    orc = OracleCovariance(N, d, 0.07)
+    rng = np.random.default_rng(5)
+    for deg in (0, 2, 4, 6):
+        pos = rng.integers(0, len(pool), size=(40, deg))
+        batch = orc.moments(pos)
+        rows = [orc.moment([pool[i] for i in row]) for row in pos]
+        assert np.allclose(batch, rows, rtol=0, atol=1e-13)
+        # a moment is symmetric in its factors
+        shuffled = rng.permuted(pos, axis=1)
+        assert np.allclose(orc.moments(shuffled), batch, rtol=0, atol=1e-13)
+    for deg in (1, 3, 5):
+        pos = rng.integers(0, len(pool), size=(10, deg))
+        assert not orc.moments(pos).any()
+
+
+def test_moment_of_four_is_the_three_pairings():
+    orc = OracleCovariance(2, 1, 0.2)
+
+    def c(x, y):
+        return orc.moment([x, y])
+
+    x, y, z, w = A(1, 1, 2), B(1, 2, 1), A(1, 2, 1), B(1, 1, 2)
+    want = c(x, y) * c(z, w) + c(x, z) * c(y, w) + c(x, w) * c(y, z)
+    assert orc.moment([x, y, z, w]) == pytest.approx(want, abs=1e-14)
+
+
+def test_richardson_array_matches_scalar_calls():
+    coeffs = np.array([[1.0, -2.0, 0.5], [3e4, 1.0, -7.0], [1e-3, 4.0, 2.0j]])
+
+    def f(e):
+        return coeffs[:, 0] + coeffs[:, 1] * e + coeffs[:, 2] * np.sin(e)
+
+    got = richardson_limit(f)
+    assert got.shape == (3,)
+    for i in range(3):
+        one = richardson_limit(lambda e: f(e)[i])
+        assert type(one) is complex
+        assert abs(got[i] - one) <= 1e-12 * max(1.0, abs(one))
+
+
+def test_richardson_on_the_entry_covariance_matrix():
+    N, d = 2, 1
+    pool = _pool(N, d)
+    cov = richardson_limit(lambda e: cached_oracle(N, d, e).cov)
+    for i, x in enumerate(pool):
+        for j, y in enumerate(pool):
+            one = richardson_limit(
+                lambda e: gaussian_oracle_moment([x, y], N, d, e))
+            assert abs(cov[i, j] - one) < 1e-12
