@@ -26,24 +26,30 @@ knot export and ``verify euler``, which run the reference tracer on them.
 
 Tracing shares no algorithm with the reference tracer in ``diagrams``:
 Latin loops are the cycles of the leg involution ``match`` after ``succ``
-(next position on the same vertex), one per loop; Greek loops are half the
+(next position on the same vertex), one per loop.  Greek loops are half the
 cycles of match XOR 2 (slot mate of the partner), each loop being seen once
-per direction; cycles are counted by pointer-doubling minimum propagation,
-and connectivity by minimum-label propagation.
+per direction; those cycles alternate A- and B-legs, so they are counted
+as the cycles of its square on the 2k A-indices, tau(i) = pinv[bp[i] ^ 1] ^ 1.
+Cycles are counted by pointer-doubling minimum propagation over the raveled
+batch, with flat gathers.  Connectivity comes from the generator.  It
+opens a vertex when every touched A-index is paired; then every touched
+B-index is paired too, so each opening after the first starts a new
+component, and a row is connected iff it has one opening.  The rule holds
+for the generator's rows only, so the tracer takes the flag as an argument.
 
-The generator states after the first ``_SPLIT_DEPTH`` choices are the
-process-pool tasks (at least two for any k).  A task expands its subtree
-level by level in numpy, ``_ROW_CHUNK`` rows at a time, and traces its
-representatives as they come, so no order holds all of them at once.  Task
-histograms are merged in task order, so any ``threads`` gives the same
-integers.
+With ``threads == 1`` the census expands the root state level by level in
+numpy, ``_ROW_CHUNK`` rows at a time, and traces the representatives as
+they come, so no order holds all of them at once; ``representatives``
+streams the same way.  For a process pool, the generator states after the
+first ``_SPLIT_DEPTH`` choices are the tasks (at least two for any k), each
+streamed alike.  Task histograms are merged in task order, and the
+histogram holds exact integers, so any ``threads`` gives the same census.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -51,11 +57,11 @@ from .diagrams import DEFAULT_KMAX
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 
 _MAX_SUFFIX = 9          # largest n with a cached full permutation table
-_ROW_CHUNK = 90_720      # rows expanded or traced per numpy batch
+_ROW_CHUNK = 4_096       # rows expanded or traced per numpy batch
 _SPLIT_DEPTH = 3         # generator choices fixed per pool task
 
 Census = dict[tuple[int, int, bool, bool], int]
-State = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]   # bp, used, t, w
+State = tuple[np.ndarray, ...]   # bp, used, t, w, opened
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,40 +104,21 @@ def _ab_block(k: int, prefix: tuple[int, ...]) -> np.ndarray:
 
 
 def _row_cycle_counts(perm: np.ndarray) -> np.ndarray:
-    """Cycle count per row of a batch of permutations."""
-    n = perm.shape[1]
-    ident = np.arange(n, dtype=perm.dtype)
-    lab = np.broadcast_to(ident, perm.shape).copy()
-    step = perm.copy()
-    rounds = max(1, int(np.ceil(np.log2(n))))
-    for _ in range(rounds):
-        np.minimum(lab, np.take_along_axis(lab, step, axis=1), out=lab)
-        step = np.take_along_axis(step, step, axis=1)
-    return (lab == ident).sum(axis=1, dtype=np.int64)
+    """Cycle count per row of a batch of permutations of at most 127 points.
 
-
-def _row_connected(vcol: np.ndarray, k: int) -> np.ndarray:
-    """Connectivity per row; A-leg i on vertex i // 2 meets vertex vcol[:, i]."""
-    rows, n2 = vcol.shape
-    if k == 1:
-        return np.ones(rows, dtype=bool)
-    lab = np.broadcast_to(np.arange(k, dtype=vcol.dtype), (rows, k)).copy()
-    ridx = np.arange(rows)
-    while True:
-        changed = False
-        for i in range(n2):
-            u = i // 2
-            v = vcol[:, i]
-            lu = lab[:, u]
-            lv = lab[ridx, v]
-            m = np.minimum(lu, lv)
-            if (m < lu).any() or (m < lv).any():
-                changed = True
-            lab[:, u] = m
-            lab[ridx, v] = m
-        if not changed:
-            break
-    return (lab == 0).all(axis=1)
+    Pointer doubling on the raveled batch: a step index is the row-local
+    target plus the row's offset, so each round is two flat ``take`` gathers.
+    """
+    rows, n = perm.shape
+    offsets = np.arange(0, rows * n, n,
+                        dtype=np.int32 if perm.size < 2 ** 31 else np.int64)
+    step = (perm + offsets[:, None]).ravel()
+    ident = np.arange(n, dtype=np.int8)
+    lab = np.tile(ident, rows)
+    for _ in range((n - 1).bit_length()):
+        np.minimum(lab, lab.take(step), out=lab)
+        step = step.take(step)
+    return (lab.reshape(rows, n) == ident).sum(axis=1)
 
 
 def _ab_match(bp: np.ndarray) -> np.ndarray:
@@ -147,19 +134,22 @@ def _ab_match(bp: np.ndarray) -> np.ndarray:
     return match
 
 
-def _census_rows(match: np.ndarray, weight: np.ndarray) -> Census:
-    """Trace leg involution rows and histogram (C, l, conn, tad) by weight."""
+def _census_rows(match: np.ndarray, weight: np.ndarray,
+                 connected: np.ndarray) -> Census:
+    """Trace leg involution rows and histogram (C, l, conn, tad) by weight;
+    ``connected`` is the caller's connectivity flag per row."""
     n = match.shape[1]
     k = n // 4
     legs = np.arange(n)
     succ = legs - legs % 4 + (legs + 1) % 4
     C = _row_cycle_counts(match[:, succ])
-    lgr = _row_cycle_counts(match ^ 2) // 2
+    slot = match ^ 2
+    tau = np.take_along_axis(slot, slot[:, 0::2], axis=1) >> 1   # A-index rows
+    lgr = _row_cycle_counts(tau) // 2
     vcol = match[:, 0::2] // 4
-    conn = _row_connected(vcol, k)
     tad = (vcol == np.arange(2 * k) // 2).any(axis=1)
     base_l = 2 * k + 2
-    key = ((C * base_l + lgr) * 2 + conn) * 2 + tad
+    key = ((C * base_l + lgr) * 2 + connected) * 2 + tad
     counts = np.zeros(int(key.max()) + 1, dtype=np.int64)
     np.add.at(counts, key, weight)
     out: Census = {}
@@ -177,10 +167,18 @@ def _merge(into: Census, part: Census) -> None:
         into[key] = into.get(key, 0) + cnt
 
 
+def _root(k: int) -> State:
+    """The generator's start: nothing paired or touched, weight 1."""
+    zero = np.zeros(1, dtype=np.int64)
+    return np.zeros((1, 2 * k), dtype=np.int32), zero, zero, zero + 1, zero
+
+
 def _children(k: int, a: int, state: State) -> State:
     """Pair A-index a in every allowed way, children in parent row order."""
-    bp, used, t, w = state
-    t = t + (a == 2 * t)      # no touched A-index left: touch vertex t
+    bp, used, t, w, opened = state
+    opening = a == 2 * t      # no touched A-index left: touch vertex t
+    t = t + opening
+    opened = opened + opening
     j = np.arange(2 * k)
     rows, cols = np.nonzero((j <= 2 * t[:, None]) & ((used[:, None] >> j) & 1 == 0))
     t = t[rows]
@@ -188,7 +186,7 @@ def _children(k: int, a: int, state: State) -> State:
     child = bp[rows]
     child[:, a] = cols
     return (child, used[rows] | (1 << cols), t + fresh,
-            w[rows] * np.where(fresh, 2 * (k - t), 1))
+            w[rows] * np.where(fresh, 2 * (k - t), 1), opened[rows])
 
 
 def _leaves(k: int, a: int, state: State):
@@ -204,8 +202,8 @@ def _leaves(k: int, a: int, state: State):
 def _subtree_census(args) -> Census:
     k, a, state = args
     total: Census = {}
-    for bp, _used, _t, w in _leaves(k, a, state):
-        _merge(total, _census_rows(_ab_match(bp), w))
+    for bp, _used, _t, w, opened in _leaves(k, a, state):
+        _merge(total, _census_rows(_ab_match(bp), w, opened == 1))
     return total
 
 
@@ -213,8 +211,7 @@ def _subtree_tasks(k: int) -> list:
     """One task per state after the first choices; the largest subtree, all
     fresh choices, is generated last, so the tasks run in reverse order."""
     depth = min(_SPLIT_DEPTH, 2 * k)
-    zero = np.zeros(1, dtype=np.int64)
-    state = (np.zeros((1, 2 * k), dtype=np.int32), zero, zero, zero + 1)
+    state = _root(k)
     for a in range(depth):
         state = _children(k, a, state)
     return [(k, depth, tuple(x[i:i + 1] for x in state))
@@ -223,9 +220,8 @@ def _subtree_tasks(k: int) -> list:
 
 def representatives(k: int):
     """Yield (leg involution rows, int64 weights) batches, one row per class."""
-    for _k, a, state in _subtree_tasks(k):
-        for bp, _used, _t, w in _leaves(k, a, state):
-            yield _ab_match(bp), w
+    for bp, _used, _t, w, _opened in _leaves(k, 0, _root(k)):
+        yield _ab_match(bp), w
 
 
 def pairing_census(k: int, threads: int = 1, kmax: int = DEFAULT_KMAX) -> Census:
@@ -238,14 +234,14 @@ def pairing_census(k: int, threads: int = 1, kmax: int = DEFAULT_KMAX) -> Census
         raise ResourceLimitError(f"k={k} outside enumeration range 1..{kmax}")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
-    tasks = _subtree_tasks(k)
-    total: Census = {}
     if threads == 1:
-        for task in tasks:
-            _merge(total, _subtree_census(task))
+        total = _subtree_census((k, 0, _root(k)))
     else:
+        # imported here, so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        total = {}
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_subtree_census, tasks, chunksize=1):
+            for part in pool.map(_subtree_census, _subtree_tasks(k), chunksize=1):
                 _merge(total, part)
     if sum(total.values()) != math.factorial(2 * k):
         raise InvariantViolation(

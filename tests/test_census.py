@@ -5,11 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from triline.census import (_census_rows, count_matchings, iter_matchings_batched,
-                            pairing_census)
+from triline import census
+from triline.census import (_ab_match, _census_rows, _row_cycle_counts, count_matchings,
+                            iter_matchings_batched, pairing_census, representatives)
 from triline.diagrams import (Pairing, components_and_genus, enumerate_matchings,
                               is_tadpole)
-from triline.errors import ResourceLimitError
+from triline.errors import InvariantViolation, ResourceLimitError
 
 
 def reference_census(k):
@@ -18,6 +19,42 @@ def reference_census(k):
         rep = components_and_genus(p)
         out[(rep.C, rep.l, rep.components == 1, is_tadpole(p))] += 1
     return dict(out)
+
+
+def _row_connected(vcol: np.ndarray, k: int) -> np.ndarray:
+    """Connectivity per row; A-leg i on vertex i // 2 meets vertex vcol[:, i]."""
+    rows, n2 = vcol.shape
+    if k == 1:
+        return np.ones(rows, dtype=bool)
+    lab = np.broadcast_to(np.arange(k, dtype=vcol.dtype), (rows, k)).copy()
+    ridx = np.arange(rows)
+    while True:
+        changed = False
+        for i in range(n2):
+            u = i // 2
+            v = vcol[:, i]
+            lu = lab[:, u]
+            lv = lab[ridx, v]
+            m = np.minimum(lu, lv)
+            if (m < lu).any() or (m < lv).any():
+                changed = True
+            lab[:, u] = m
+            lab[ridx, v] = m
+        if not changed:
+            break
+    return (lab == 0).all(axis=1)
+
+
+def cycle_count(perm):
+    seen = [False] * len(perm)
+    cycles = 0
+    for i in range(len(perm)):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return cycles
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -31,7 +68,8 @@ def test_census_equals_unreduced_fold_k5():
     unreduced = {}
     for match in iter_matchings_batched(5):
         ones = np.ones(match.shape[0], dtype=np.int64)
-        for key, n in _census_rows(match, ones).items():
+        conn = _row_connected(match[:, 0::2] // 4, 5)
+        for key, n in _census_rows(match, ones, conn).items():
             unreduced[key] = unreduced.get(key, 0) + n
     assert pairing_census(5) == unreduced
 
@@ -41,8 +79,60 @@ def test_census_total_is_factorial():
         assert sum(pairing_census(k).values()) == math.factorial(2 * k)
 
 
+def test_census_weight_check_raises(monkeypatch):
+    root = census._root
+
+    def doubled(k):
+        bp, used, t, w, opened = root(k)
+        return bp, used, t, 2 * w, opened
+
+    monkeypatch.setattr(census, "_root", doubled)
+    with pytest.raises(InvariantViolation):
+        pairing_census(3)
+
+
 def test_parallel_census_bit_identical():
     assert pairing_census(3, threads=4) == pairing_census(3, threads=1)
+    # 14,306 representatives: the serial stream crosses _ROW_CHUNK boundaries
+    assert pairing_census(5, threads=2) == pairing_census(5)
+
+
+def test_representatives_count_and_weight():
+    for k, want in zip(range(1, 6), (2, 14, 122, 1_238, 14_306)):
+        batches = list(representatives(k))
+        assert sum(w.size for _match, w in batches) == want
+        assert sum(int(w.sum()) for _match, w in batches) == math.factorial(2 * k)
+
+
+def test_generator_openings_flag_is_connectivity():
+    # one opening means every vertex was reached from vertex 0
+    for k in range(1, 6):
+        for bp, _used, _t, _w, opened in census._leaves(k, 0, census._root(k)):
+            vcol = _ab_match(bp)[:, 0::2] // 4
+            np.testing.assert_array_equal(opened == 1, _row_connected(vcol, k))
+
+
+def test_row_cycle_counts_against_python():
+    rng = np.random.default_rng(2024)
+    # widths off powers of two check the ceil(log2 n) doubling rounds; the
+    # 3,000 x 28 batch has flat indices beyond 2**16
+    shapes = [(40, n) for n in (1, 2, 3, 5, 8, 20, 28)] + [(3_000, 28)]
+    for rows, n in shapes:
+        perm = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (rows, 1)), axis=1)
+        want = [cycle_count(row) for row in perm.tolist()]
+        assert _row_cycle_counts(perm).tolist() == want
+
+
+def test_greek_loops_on_a_indices():
+    # tau(i) = pinv[bp[i] ^ 1] ^ 1 is (match ^ 2)^2 on the A-legs 2i: each
+    # cycle of match ^ 2 alternates A- and B-legs and meets tau in one cycle
+    rng = np.random.default_rng(7)
+    random_k5 = _ab_match(np.array([rng.permutation(10) for _ in range(300)]))
+    for match in [*iter_matchings_batched(3), random_k5]:
+        for row in match.tolist():
+            slot = [x ^ 2 for x in row]
+            tau = [slot[slot[2 * i]] // 2 for i in range(len(row) // 2)]
+            assert cycle_count(tau) == cycle_count(slot)
 
 
 @pytest.mark.parametrize("k, want", [(1, 2), (2, 18), (3, 432), (4, 18_144),

@@ -1,9 +1,14 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import triline
 from triline import cli
 from triline.cli import RunConfig, build_config, load_config_file, main, make_parser
 from triline.errors import InvariantViolation, ValidationError
@@ -208,3 +213,13 @@ def test_verify_wick_fails_on_wrong_counterterm(monkeypatch, capsys):
     fails = [line.split(" = ")[0] for line in capsys.readouterr().err.splitlines()
              if line.startswith("FAIL")]
     assert fails == ["FAIL E[:quartic:] N=1 d=1", "FAIL E[:quartic:] N=2 d=1"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported only by a census with threads > 1
+    code = ("import sys, triline.cli; print([m for m in sys.modules "
+            "if m in ('concurrent.futures.process', 'multiprocessing')])")
+    env = dict(os.environ, PYTHONPATH=str(Path(triline.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
