@@ -13,48 +13,44 @@ Gauss-code export of planar diagrams (:mod:`knots`); and a CLI
 """
 
 from .cosbasis import BasisElement, MatrixPair, cos_basis
-from .census import count_matchings, iter_matchings_batched, pairing_census
-from .diagrams import (DEFAULT_KMAX, DiagramWeight, LoopReport, Pairing,
-                       brute_force_index_sum, components_and_genus,
-                       diagram_weight, enumerate_matchings, is_tadpole,
-                       trace_greek_loops, trace_latin_loops)
+from .census import pairing_census
+from .diagrams import (DEFAULT_KMAX, LoopReport, Pairing, brute_force_index_sum,
+                       components_and_genus, enumerate_matchings, is_tadpole,
+                       trace_greek_loops)
 from .errors import (InvariantViolation, ResourceLimitError, StructureError,
                      TrilineError, ValidationError)
 from .gaussian import (EntrySymbol, PropagatorMatrix, RegKernel, free_partition,
                        general_propagators, propagator, t_transform_limit,
                        t_transform_reg, u_bound_check, wick_moment,
-                       wick_order_quartic, wick_order_report)
+                       wick_order_quartic)
 from .knots import (GaussCode, TREFOIL, alternating_check, canonical_code,
                     enumerate_knot_diagrams, reduce_R1, to_gauss_code)
 from .mixed import counterterm_series
 from .oracle import OracleCovariance, gaussian_oracle_moment, richardson_limit
-from .series import (FSeries, FlpTable, F_of_g, GaussRational, LnZFull,
-                     TriSeries, assemble_Z, census_table, connected_assemble,
+from .series import (FSeries, FlpTable, F_of_g, GaussRational, TriSeries,
+                     assemble_Z, census_table, connected_assemble,
                      double_limit_check, extract_Flp, formal_exp, formal_log,
-                     full_ln_z, planar_loop_counts)
+                     planar_loop_counts)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BasisElement", "MatrixPair", "cos_basis",
-    "count_matchings", "iter_matchings_batched", "pairing_census",
-    "DEFAULT_KMAX", "DiagramWeight", "LoopReport", "Pairing",
-    "brute_force_index_sum", "components_and_genus", "diagram_weight",
-    "enumerate_matchings", "is_tadpole", "trace_greek_loops",
-    "trace_latin_loops",
+    "pairing_census",
+    "DEFAULT_KMAX", "LoopReport", "Pairing", "brute_force_index_sum",
+    "components_and_genus", "enumerate_matchings", "is_tadpole",
+    "trace_greek_loops",
     "InvariantViolation", "ResourceLimitError", "StructureError",
     "TrilineError", "ValidationError",
     "EntrySymbol", "PropagatorMatrix", "RegKernel", "free_partition",
     "general_propagators", "propagator", "t_transform_limit",
     "t_transform_reg", "u_bound_check", "wick_moment", "wick_order_quartic",
-    "wick_order_report",
     "GaussCode", "TREFOIL", "alternating_check", "canonical_code",
     "enumerate_knot_diagrams", "reduce_R1", "to_gauss_code",
     "counterterm_series",
     "OracleCovariance", "gaussian_oracle_moment", "richardson_limit",
-    "FSeries", "FlpTable", "F_of_g", "GaussRational", "LnZFull", "TriSeries",
+    "FSeries", "FlpTable", "F_of_g", "GaussRational", "TriSeries",
     "assemble_Z", "census_table", "connected_assemble", "double_limit_check",
-    "extract_Flp", "formal_exp", "formal_log", "full_ln_z",
-    "planar_loop_counts",
+    "extract_Flp", "formal_exp", "formal_log", "planar_loop_counts",
     "__version__",
 ]

@@ -47,8 +47,6 @@ histogram holds exact integers, so any ``threads`` gives the same census.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 
 import numpy as np
@@ -56,51 +54,11 @@ import numpy as np
 from .diagrams import DEFAULT_KMAX
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 
-_MAX_SUFFIX = 9          # largest n with a cached full permutation table
 _ROW_CHUNK = 4_096       # rows expanded or traced per numpy batch
 _SPLIT_DEPTH = 3         # generator choices fixed per pool task
 
 Census = dict[tuple[int, int, bool, bool], int]
 State = tuple[np.ndarray, ...]   # bp, used, t, w, opened
-
-
-@functools.lru_cache(maxsize=None)
-def _perm_table(n: int) -> np.ndarray:
-    """All n! permutations of range(n), one per row, int8, n <= 9."""
-    if n > _MAX_SUFFIX:
-        raise ResourceLimitError(f"permutation table for n={n} refused")
-    table = np.zeros((1, 0), dtype=np.int8)
-    for m in range(1, n + 1):
-        prev = table
-        rows = prev.shape[0]
-        out = np.empty((m * rows, m), dtype=np.int8)
-        for v in range(m):
-            rest = np.array([x for x in range(m) if x != v], dtype=np.int8)
-            block = out[v * rows:(v + 1) * rows]
-            block[:, 0] = v
-            if m > 1:
-                block[:, 1:] = rest[prev]
-        table = out
-    return table
-
-
-def _ab_prefixes(k: int) -> list[tuple[int, ...]]:
-    """Task prefixes: fixed partners of the first A-legs, in order."""
-    depth = max(1, 2 * k - _MAX_SUFFIX)
-    return list(itertools.permutations(range(2 * k), depth))
-
-
-def _ab_block(k: int, prefix: tuple[int, ...]) -> np.ndarray:
-    """Permutation rows (partner B-index per A-leg) for one task prefix."""
-    n2 = 2 * k
-    rest = np.array([x for x in range(n2) if x not in prefix], dtype=np.int32)
-    suffix = rest[_perm_table(len(rest))]
-    rows = suffix.shape[0]
-    bp = np.empty((rows, n2), dtype=np.int32)
-    for i, v in enumerate(prefix):
-        bp[:, i] = v
-    bp[:, len(prefix):] = suffix
-    return bp
 
 
 def _row_cycle_counts(perm: np.ndarray) -> np.ndarray:
@@ -224,14 +182,14 @@ def representatives(k: int):
         yield _ab_match(bp), w
 
 
-def pairing_census(k: int, threads: int = 1, kmax: int = DEFAULT_KMAX) -> Census:
+def pairing_census(k: int, threads: int = 1) -> Census:
     """Exact histogram {(C, l, connected, tadpole): count} over ab pairings.
 
     Deterministic and independent of ``threads``; the parallel fold merges
     per-task integer histograms in a fixed task order.
     """
-    if not 1 <= k <= kmax:
-        raise ResourceLimitError(f"k={k} outside enumeration range 1..{kmax}")
+    if not 1 <= k <= DEFAULT_KMAX:
+        raise ResourceLimitError(f"k={k} outside enumeration range 1..{DEFAULT_KMAX}")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     if threads == 1:
@@ -249,63 +207,3 @@ def pairing_census(k: int, threads: int = 1, kmax: int = DEFAULT_KMAX) -> Census
             f"not (2k)! = {math.factorial(2 * k)}")
     return total
 
-
-@functools.lru_cache(maxsize=4)
-def _all_match_table(n: int) -> np.ndarray:
-    """All perfect matchings of range(n) as involution rows, n even <= 16."""
-    if n % 2 or n > 16:
-        raise ResourceLimitError(f"matching table for n={n} refused")
-    table = np.zeros((1, 0), dtype=np.int8)
-    for m in range(2, n + 1, 2):
-        prev = table
-        rows = prev.shape[0]
-        out = np.empty(((m - 1) * rows, m), dtype=np.int8)
-        for j in range(1, m):
-            rest = np.array([x for x in range(1, m) if x != j], dtype=np.int8)
-            block = out[(j - 1) * rows:j * rows]
-            block[:, 0] = j
-            block[:, j] = 0
-            if m > 2:
-                block[:, rest] = rest[prev]
-        table = out
-    return table
-
-
-def iter_matchings_batched(k: int, mode: str = "ab_only",
-                           kmax: int = DEFAULT_KMAX):
-    """Yield batches of involution rows covering each pairing exactly once."""
-    if mode not in ("ab_only", "all"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if not 1 <= k <= kmax:
-        raise ResourceLimitError(f"k={k} outside enumeration range 1..{kmax}")
-    if mode == "ab_only":
-        for prefix in _ab_prefixes(k):
-            yield _ab_match(_ab_block(k, prefix))
-        return
-    n = 4 * k
-    if n <= 16:
-        yield _all_match_table(n).astype(np.int32)
-        return
-    if n != 20:
-        raise ResourceLimitError(f"all-mode batching beyond 4k=20 refused")
-    # one leg per row of ``out``, yielded transposed: contiguous writes
-    base = np.ascontiguousarray(_all_match_table(16).T)
-    out = np.empty((n, base.shape[1]), dtype=np.int8)
-    for j0 in range(1, n):
-        rest0 = [x for x in range(1, n) if x != j0]
-        a1 = rest0[0]
-        for j1 in rest0[1:]:
-            lab = np.array([x for x in rest0 if x not in (a1, j1)],
-                           dtype=np.int8)
-            out[lab] = lab[base]
-            out[0] = j0
-            out[j0] = 0
-            out[a1] = j1
-            out[j1] = a1
-            yield out.T
-
-
-def count_matchings(k: int, mode: str = "ab_only",
-                    kmax: int = DEFAULT_KMAX) -> int:
-    """Total pairings at order k, counted from the batched emission."""
-    return sum(batch.shape[0] for batch in iter_matchings_batched(k, mode, kmax))

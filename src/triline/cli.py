@@ -26,7 +26,7 @@ from .gaussian import (EntrySymbol, RegKernel, _quartic_monomials,
 from .knots import KNOTS_KMAX, enumerate_knot_diagrams, knot_record
 from .oracle import (cached_oracle, entry_positions, gaussian_oracle_moment,
                      richardson_limit)
-from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, LnZFull, assemble_Z,
+from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, assemble_Z,
                      census_table, connected_assemble, double_limit_check,
                      extract_Flp, f_to_json, flp_to_json, formal_log,
                      planar_loop_counts, series_to_json)
@@ -196,9 +196,8 @@ def cmd_knots(cfg: RunConfig) -> int:
             line = json.dumps(knot_record(k, code, coeff), sort_keys=True,
                               separators=(",", ":"))
             records.append((line + "\n", mult))
-        reps = sum(w.size for _, w in representatives(k))
         per_order.append(f"k={k}: {sum(m for _, m, _ in codes)} "
-                         f"({len(codes)} codes, {reps} representatives)")
+                         f"({len(codes)} codes)")
     # one record's lines at a time: the whole export is 75 MB at k = 5
     _emit(cfg, (line * mult for line, mult in records))
     _note("knot diagrams per order: " + ", ".join(per_order))
@@ -300,8 +299,8 @@ def _verify_logcheck(cfg: RunConfig, failures: list[str]) -> None:
             failures.append(f"linked-cluster mismatch [{convention}]")
             continue
         try:
-            double_limit_check(LnZFull(series=conn), cfg.kmax)
-        except (StructureError, ValidationError) as exc:
+            double_limit_check(conn)
+        except StructureError as exc:
             failures.append(f"double limit [{convention}]: {exc}")
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import InvariantViolation, ResourceLimitError, ValidationError
 
 DEFAULT_KMAX = 7
 BRUTE_FORCE_ENUM_LIMIT = 400_000
@@ -76,7 +76,7 @@ class Pairing:
         return all(leg_family(i) != leg_family(j) for i, j in self.pairs())
 
 
-def enumerate_matchings(k: int, mode: str = "ab_only", kmax: int = DEFAULT_KMAX):
+def enumerate_matchings(k: int, mode: str = "ab_only"):
     """Stream all pairings at order k, lexicographic on the involution.
 
     ``ab_only`` restricts partners to the opposite family ((2k)! pairings,
@@ -85,8 +85,8 @@ def enumerate_matchings(k: int, mode: str = "ab_only", kmax: int = DEFAULT_KMAX)
     """
     if mode not in ("ab_only", "all"):
         raise ValidationError(f"unknown mode {mode!r}")
-    if not 1 <= k <= kmax:
-        raise ResourceLimitError(f"k={k} outside enumeration range 1..{kmax}")
+    if not 1 <= k <= DEFAULT_KMAX:
+        raise ResourceLimitError(f"k={k} outside enumeration range 1..{DEFAULT_KMAX}")
     n = 4 * k
     match = [-1] * n
 
@@ -172,11 +172,6 @@ def _latin_cycles(p: Pairing) -> list[list[int]]:
     return cycles
 
 
-def trace_latin_loops(p: Pairing) -> int:
-    """Number C of closed Latin index loops."""
-    return len(_latin_cycles(p))
-
-
 def trace_greek_loops(p: Pairing) -> int:
     """Number l of closed Greek loops (link components)."""
     # slotmate(leg) = leg xor 2 joins the two legs sharing a Greek slot;
@@ -194,20 +189,6 @@ class LoopReport:
     l: int
     components: int
     genus_per_component: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DiagramWeight:
-    """Symbolic weight i^{phase_ipow} N^C d^l plus the connectivity flag."""
-
-    k: int
-    C: int
-    l: int
-    phase_ipow: int
-    connected: bool
-
-    def value(self, N: int, d: int) -> complex:
-        return (1j) ** self.phase_ipow * N ** self.C * d ** self.l
 
 
 class _DSU:
@@ -242,8 +223,6 @@ def components_and_genus(p: Pairing) -> LoopReport:
     Raises if any component genus fails to be a non-negative integer;
     that would indicate a tracing bug, not bad input.
     """
-    from .errors import InvariantViolation
-
     comps = _vertex_components(p)
     cycles = _latin_cycles(p)
     C = len(cycles)
@@ -265,13 +244,6 @@ def components_and_genus(p: Pairing) -> LoopReport:
         genus.append(two_p // 2)
     return LoopReport(C=C, l=l, components=len(comps),
                       genus_per_component=tuple(genus))
-
-
-def diagram_weight(p: Pairing) -> DiagramWeight:
-    """Symbolic diagram value for the standard action: i^{2k} N^C d^l."""
-    rep = components_and_genus(p)
-    return DiagramWeight(k=p.k, C=rep.C, l=rep.l, phase_ipow=2 * p.k,
-                         connected=rep.components == 1)
 
 
 def is_tadpole(p: Pairing) -> bool:

@@ -317,22 +317,3 @@ def wick_order_quartic(N: int, d: int) -> tuple[complex, complex]:
         raise InvariantViolation("self-contraction residue has missing terms")
     return -lam, const
 
-
-def wick_order_report(N: int, d: int) -> dict:
-    """Derived counterterms next to the commonly quoted +4dN, +2dN^3 pair.
-
-    The derivation above gives c1 = -4iN and c2 = -2dN^3; values of
-    +4dN and +2dN^3 are quoted elsewhere for the same counterterms, so the
-    report records both and flags agreement per coefficient.
-    """
-    c1, c2 = wick_order_quartic(N, d)
-    quoted_c1 = complex(4 * d * N)
-    quoted_c2 = complex(2 * d * N ** 3)
-    return {
-        "derived_c1": c1,
-        "derived_c2": c2,
-        "quoted_c1": quoted_c1,
-        "quoted_c2": quoted_c2,
-        "c1_agrees": abs(c1 - quoted_c1) < 1e-9,
-        "c2_agrees": abs(c2 - quoted_c2) < 1e-9,
-    }

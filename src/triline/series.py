@@ -15,8 +15,8 @@ the exponent exp(i S)) or c = i under the ``paper_series`` convention
 logarithm must equal the same sum restricted to connected pairings
 (linked-cluster identity); its coefficients sit on the lattice
 N-power = 2 - 2p, d-power = l >= 1, giving the table F_{l,p}(g).  The
-constant part of the full log-series is d*N*log2 + d*N^2*logpi, kept
-symbolic.  F(g) = logpi + F_{1,0}(g) generates connected planar
+constant part of the full log-series, d*N*log2 + d*N^2*logpi, is the free
+partition function; F(g) = logpi + F_{1,0}(g) generates connected planar
 single-Greek-loop diagrams, the alternating knot diagrams.
 """
 from __future__ import annotations
@@ -371,50 +371,21 @@ def F_of_g(t: FlpTable) -> FSeries:
     return FSeries(kmax=t.kmax, logpi=Fraction(1), coeffs=t.poly(1, 0))
 
 
-ConstMap = dict[tuple[int, int], Fraction]
-
-
-@dataclass
-class LnZFull:
-    """Normalized log-series plus the symbolic g^0 constants.
-
-    ``log2``/``logpi`` map (N-power, d-power) to the rational multiple of
-    log 2 / log pi carried at that position; the free-partition constant is
-    log2: {(1,1): 1}, logpi: {(2,1): 1}, i.e. d N log 2 + d N^2 log pi.
-    """
-
-    series: TriSeries
-    log2: ConstMap = field(default_factory=lambda: {(1, 1): Fraction(1)})
-    logpi: ConstMap = field(default_factory=lambda: {(2, 1): Fraction(1)})
-
-
-def full_ln_z(table: CensusTable, convention: str = "action",
-              action: str = "standard") -> LnZFull:
-    """ln Z including constants: dN log2 + dN^2 logpi + connected series."""
-    return LnZFull(series=connected_assemble(table, convention, action))
-
-
-def _shift_const(cm: ConstMap) -> ConstMap:
-    out = {}
-    for (a, b), q in cm.items():
-        if b < 1:
-            raise StructureError("constant term lacks the d factor")
-        out[(a - 2, b - 1)] = q
-    return out
-
-
-def double_limit_check(lnz_full: LnZFull, kmax: int) -> bool:
+def double_limit_check(series: TriSeries) -> bool:
     """Term-by-term (1/dN^2) ln Z under N -> infinity then d -> 0.
 
-    Divides symbolically by d N^2, errors on any surviving positive
-    N-power, drops negative ones, keeps d-power 0, and asserts the result
-    equals F_of_g of the extracted table.  True on success.
+    ``series`` is the connected (normalized log) series.  Divides it
+    symbolically by d N^2, errors on any surviving positive N-power, drops
+    negative ones, keeps d-power 0, and requires the result to equal
+    F_{1,0} of the extracted table.  True on success.
+
+    The g^0 constant of ln Z, d N log 2 + d N^2 log pi, is the free
+    partition function (``gaussian.free_partition``), not part of the
+    series: its limit is the fixed ln(pi) that ``F_of_g`` carries, so it
+    needs no check.
     """
-    s = lnz_full.series
-    if s.kmax != kmax:
-        raise ValidationError("kmax does not match the provided series")
     limit_coeffs: dict[int, GaussRational] = {}
-    for (k, a, b), coeff in s.terms.items():
+    for (k, a, b), coeff in series.terms.items():
         if b < 1:
             raise StructureError(f"term g^{k} N^{a} d^{b} has d-power < 1")
         a2, b2 = a - 2, b - 1
@@ -423,21 +394,11 @@ def double_limit_check(lnz_full: LnZFull, kmax: int) -> bool:
                 f"term g^{k} N^{a} d^{b} survives the large-N limit unboundedly")
         if a2 == 0 and b2 == 0:
             limit_coeffs[k] = limit_coeffs.get(k, GR_ZERO) + coeff
-    limit_logpi = Fraction(0)
-    for (a2, b2), q in _shift_const(lnz_full.logpi).items():
-        if a2 > 0:
-            raise StructureError("logpi constant survives the large-N limit")
-        if a2 == 0 and b2 == 0:
-            limit_logpi += q
-    for (a2, b2), q in _shift_const(lnz_full.log2).items():
-        if a2 > 0:
-            raise StructureError("log2 constant survives the large-N limit")
-        # negative N-powers vanish; b2 > 0 terms die at d -> 0
-    f = F_of_g(extract_Flp(s))
+    f = F_of_g(extract_Flp(series))
     limit_coeffs = {k: c for k, c in limit_coeffs.items() if c}
     target = {k: c for k, c in f.coeffs.items() if c}
-    if limit_logpi != f.logpi or limit_coeffs != target:
-        raise StructureError("double limit disagrees with logpi + F_{1,0}")
+    if limit_coeffs != target:
+        raise StructureError("double limit disagrees with F_{1,0}")
     return True
 
 

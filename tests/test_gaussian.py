@@ -11,8 +11,7 @@ from triline.errors import ValidationError
 from triline.gaussian import (A, B, EntrySymbol, RegKernel, free_partition,
                               general_propagators, iter_pair_partitions,
                               propagator, t_transform_limit, t_transform_reg,
-                              u_bound_check, wick_moment, wick_order_quartic,
-                              wick_order_report)
+                              u_bound_check, wick_moment, wick_order_quartic)
 from triline.oracle import gaussian_oracle_moment, richardson_limit
 
 
@@ -139,16 +138,6 @@ def test_wick_order_constants():
         c1, c2 = wick_order_quartic(N, d)
         assert c1 == -4j * N
         assert c2 == -2 * d * N ** 3
-
-
-def test_wick_order_report_flags_quoted_values():
-    rep = wick_order_report(2, 2)
-    assert rep["derived_c1"] == -8j          # -4iN at N=2
-    assert rep["derived_c2"] == -32          # -2dN^3 at N=2, d=2
-    assert rep["quoted_c1"] == 16            # 4dN
-    assert rep["quoted_c2"] == 32            # 2dN^3
-    assert rep["c1_agrees"] is False
-    assert rep["c2_agrees"] is False
 
 
 def test_u_bound_holds_and_detects_violation():

@@ -11,7 +11,7 @@ from triline.oracle import gaussian_oracle_moment, richardson_limit
 from triline.series import (F_of_g, FlpTable, GaussRational, TriSeries,
                             assemble_Z, census_table, connected_assemble,
                             double_limit_check, extract_Flp, f_to_json,
-                            flp_to_json, formal_exp, formal_log, full_ln_z,
+                            flp_to_json, formal_exp, formal_log,
                             gauss_rational_json, planar_loop_counts,
                             series_to_json)
 
@@ -108,12 +108,12 @@ def test_extract_flp_rejects_off_lattice():
 
 def test_double_limit():
     table = census_table(3)
-    assert double_limit_check(full_ln_z(table), 3) is True
-    assert double_limit_check(full_ln_z(table, "paper_series"), 3) is True
-    bad = full_ln_z(census_table(2))
-    bad.series._accumulate((1, 4, 1), GR(1))
+    assert double_limit_check(connected_assemble(table)) is True
+    assert double_limit_check(connected_assemble(table, "paper_series")) is True
+    bad = connected_assemble(census_table(2))
+    bad._accumulate((1, 4, 1), GR(1))
     with pytest.raises(StructureError):
-        double_limit_check(bad, 2)
+        double_limit_check(bad)
 
 
 def test_planar_loop_counts_frozen():
