@@ -40,10 +40,13 @@ for the generator's rows only, so the tracer takes the flag as an argument.
 With ``threads == 1`` the census expands the root state level by level in
 numpy, ``_ROW_CHUNK`` rows at a time, and traces the representatives as
 they come, so no order holds all of them at once; ``representatives``
-streams the same way.  For a process pool, the generator states after the
-first ``_SPLIT_DEPTH`` choices are the tasks (at least two for any k), each
-streamed alike.  Task histograms are merged in task order, and the
-histogram holds exact integers, so any ``threads`` gives the same census.
+streams the same way.  With ``threads > 1`` it runs a process pool at any
+k; the generator states after the first ``_SPLIT_DEPTH`` choices are the
+tasks (at least two for any k), each streamed alike.  Task histograms are
+merged in task order, and the histogram holds exact integers, so any
+``threads`` gives the same census.  A pool costs more to start than orders
+below ``series.POOL_MIN_K`` take serially, so ``series.census_table``
+passes ``threads`` on only from that order.
 """
 from __future__ import annotations
 

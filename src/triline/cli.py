@@ -20,8 +20,8 @@ from .census import Census, representatives
 from .diagrams import DEFAULT_KMAX, Pairing, components_and_genus, is_tadpole
 from .errors import (InvariantViolation, ResourceLimitError, StructureError,
                      ValidationError)
-from .gaussian import (EntrySymbol, RegKernel, _quartic_monomials,
-                       iter_pair_partitions, propagator, u_bound_check,
+from .gaussian import (EntrySymbol, RegKernel, iter_pair_partitions,
+                       propagator, quartic_monomials, u_bound_check,
                        wick_moment, wick_order_quartic)
 from .knots import KNOTS_KMAX, enumerate_knot_diagrams, knot_record
 from .oracle import (cached_oracle, entry_positions, gaussian_oracle_moment,
@@ -250,7 +250,7 @@ def _verify_wick(cfg: RunConfig, failures: list[str]) -> None:
                     failures.append(
                         f"moment N={N} d={d} {entries}: {got} vs {want}")
             c1, c2 = wick_order_quartic(N, d)
-            quartic = entry_positions(list(_quartic_monomials(N, d)), N, d)
+            quartic = entry_positions(quartic_monomials(N, d), N, d)
             pairs = entry_positions(
                 [(EntrySymbol("A", mu, a, b), EntrySymbol("B", mu, b, a))
                  for mu in range(1, d + 1)

@@ -72,9 +72,6 @@ class Pairing:
         """Sorted (min, max) pairs; canonical order for records."""
         return [(i, j) for i, j in enumerate(self.match) if i < j]
 
-    def is_ab(self) -> bool:
-        return all(leg_family(i) != leg_family(j) for i, j in self.pairs())
-
 
 def enumerate_matchings(k: int, mode: str = "ab_only"):
     """Stream all pairings at order k, lexicographic on the involution.

@@ -21,6 +21,7 @@ moments here are normalized by the partition value; multiply by
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -258,16 +259,17 @@ def general_propagators(action: str = ACTION_STANDARD) -> PropagatorMatrix:
     return PropagatorMatrix(blocks=blocks)
 
 
-def _quartic_monomials(N: int, d: int):
-    """Entry factors of sum_{mu nu} Tr(A_mu B_nu A_mu B_nu), one tuple each."""
-    for mu in range(1, d + 1):
-        for nu in range(1, d + 1):
-            for j in range(1, N + 1):
-                for l in range(1, N + 1):
-                    for m in range(1, N + 1):
-                        for n in range(1, N + 1):
-                            yield (A(mu, j, l), B(nu, l, m),
-                                   A(mu, m, n), B(nu, n, j))
+@functools.lru_cache(maxsize=8)
+def quartic_monomials(N: int, d: int) -> tuple[tuple[EntrySymbol, ...], ...]:
+    """Entry factors of sum_{mu nu} Tr(A_mu B_nu A_mu B_nu), one tuple each.
+
+    Built once per (N, d): ``wick_order_quartic`` and the oracle check of
+    the ordered vertex read the same d^2 N^4 monomials.
+    """
+    r = range(1, N + 1)
+    return tuple((A(mu, j, l), B(nu, l, m), A(mu, m, n), B(nu, n, j))
+                 for mu in range(1, d + 1) for nu in range(1, d + 1)
+                 for j in r for l in r for m in r for n in r)
 
 
 _SINGLE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -290,7 +292,7 @@ def wick_order_quartic(N: int, d: int) -> tuple[complex, complex]:
         raise ValidationError("N and d must be >= 1")
     quad: dict[tuple[EntrySymbol, EntrySymbol], complex] = defaultdict(complex)
     const = 0.0 + 0.0j
-    for mono in _quartic_monomials(N, d):
+    for mono in quartic_monomials(N, d):
         const += wick_moment(mono)
         for a, b in _SINGLE_PAIRS:
             v = propagator(mono[a], mono[b])

@@ -14,8 +14,8 @@ import numpy as np
 from triline.census import pairing_census
 from triline.diagrams import (brute_force_index_sum, components_and_genus,
                               enumerate_matchings, is_tadpole)
-from triline.gaussian import (EntrySymbol, _quartic_monomials, free_partition,
-                              iter_pair_partitions, propagator, wick_moment,
+from triline.gaussian import (EntrySymbol, free_partition, iter_pair_partitions,
+                              propagator, quartic_monomials, wick_moment,
                               wick_order_quartic)
 from triline.knots import (TREFOIL, alternating_check, canonical_code,
                            enumerate_knot_diagrams, reduce_R1)
@@ -207,7 +207,7 @@ def test_criterion_10_wick_ordered_vertex():
 
             def ordered_mean(eps, N=N, d=d, c1=c1, c2=c2):
                 total = 0j
-                for mono in _quartic_monomials(N, d):
+                for mono in quartic_monomials(N, d):
                     total += gaussian_oracle_moment(list(mono), N, d, eps)
                 for mu in range(1, d + 1):
                     for a in range(1, N + 1):

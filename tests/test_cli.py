@@ -223,3 +223,14 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_logcheck_k5_on_two_threads_loads_no_process_pool():
+    # orders below series.POOL_MIN_K are traced in the parent
+    code = ("import sys; from triline.cli import main; "
+            "rc = main(['verify', 'logcheck', '--kmax', '5', '--threads', '2']); "
+            "print(rc, 'concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(triline.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["0", "False"]

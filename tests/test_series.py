@@ -1,4 +1,5 @@
 """Exact series assembly, formal log/exp, genus/link table, F(g)."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,35 @@ from hypothesis import strategies as st
 
 from triline.errors import (ResourceLimitError, StructureError, ValidationError)
 from triline.mixed import counterterm_series
+from triline import series
 from triline.oracle import gaussian_oracle_moment, richardson_limit
 from triline.series import (F_of_g, FlpTable, GaussRational, TriSeries,
                             assemble_Z, census_table, connected_assemble,
                             double_limit_check, extract_Flp, f_to_json,
-                            flp_to_json, formal_exp, formal_log,
+                            flp_to_json, formal_log,
                             gauss_rational_json, planar_loop_counts,
                             series_to_json)
 
 GR = GaussRational.of
+
+
+def formal_exp(s: TriSeries) -> TriSeries:
+    """exp(u) = sum u^m / m!, truncated; requires zero constant term."""
+    if s.constant_term():
+        raise ValidationError("formal_exp requires zero constant term")
+    out = TriSeries.one(s.kmax)
+    power = TriSeries.one(s.kmax)
+    for m in range(1, s.kmax + 1):
+        power = power * s
+        out = out + power.scale(Fraction(1, math.factorial(m)))
+    return out
+
+
+def reconstruct(table: FlpTable) -> TriSeries:
+    """Rebuild the normalized log-series from a genus/link table, exactly."""
+    return TriSeries(table.kmax, {(k, 2 - 2 * p, l): coeff
+                                  for (l, p), poly in table.table.items()
+                                  for k, coeff in poly.items()})
 
 
 def test_gauss_rational_arithmetic():
@@ -62,6 +83,15 @@ def test_census_table_must_cover_every_order():
         planar_loop_counts(table)
 
 
+def test_census_table_pools_only_from_order_6(monkeypatch):
+    # a pool costs more to start than orders k <= 5 take serially
+    asked = []
+    monkeypatch.setattr(series, "pairing_census",
+                        lambda k, threads: asked.append((k, threads)) or {})
+    census_table(7, threads=2)
+    assert asked == [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (7, 2)]
+
+
 def test_formal_exp_inverts_log():
     z = assemble_Z(census_table(3))
     assert formal_exp(formal_log(z)) == z
@@ -77,7 +107,7 @@ def test_formal_log_requires_unit_constant():
 def test_flp_lattice_and_f_values():
     lnz = connected_assemble(census_table(3))
     table = extract_Flp(lnz)
-    assert table.reconstruct() == lnz
+    assert reconstruct(table) == lnz
     f = F_of_g(table)
     assert f.logpi == 1
     assert f.coeffs[1] == GR(0, -1)
