@@ -21,8 +21,9 @@ A-index a = 0, 1, ... is always the lowest unpaired one on a touched vertex:
 A weight, the product of its choices' weights, counts the labeled pairings
 the representative stands for.  Weights are summed as exact int64; those of
 an order must total (2k)!, or the census raises ``InvariantViolation``.
-``representatives`` streams the same rows and weights, untraced, to the
-knot export and ``verify euler``, which run the reference tracer on them.
+``representatives`` streams the same rows, weights and connectivity flags,
+untraced: the knot export traces them with ``trace_rows``, and only
+``verify euler`` runs the reference tracer on them.
 
 Tracing shares no algorithm with the reference tracer in ``diagrams``:
 Latin loops are the cycles of the leg involution ``match`` after ``succ``
@@ -95,31 +96,38 @@ def _ab_match(bp: np.ndarray) -> np.ndarray:
     return match
 
 
-def _census_rows(match: np.ndarray, weight: np.ndarray,
-                 connected: np.ndarray) -> Census:
-    """Trace leg involution rows and histogram (C, l, conn, tad) by weight;
-    ``connected`` is the caller's connectivity flag per row."""
+def trace_rows(match: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Latin loops C, Greek loops l and tadpole flag per leg involution row."""
     n = match.shape[1]
-    k = n // 4
     legs = np.arange(n)
     succ = legs - legs % 4 + (legs + 1) % 4
     C = _row_cycle_counts(match[:, succ])
     slot = match ^ 2
     tau = np.take_along_axis(slot, slot[:, 0::2], axis=1) >> 1   # A-index rows
     lgr = _row_cycle_counts(tau) // 2
-    vcol = match[:, 0::2] // 4
-    tad = (vcol == np.arange(2 * k) // 2).any(axis=1)
-    base_l = 2 * k + 2
+    tad = (match[:, 0::2] // 4 == np.arange(n // 2) // 2).any(axis=1)
+    return C, lgr, tad
+
+
+def is_knot_shadow(k: int, C, l, connected):
+    """Knot shadow: connected, l = 1, genus 0 (C = k + 2); elementwise."""
+    return connected & (l == 1) & (C == k + 2)
+
+
+def _census_rows(match: np.ndarray, weight: np.ndarray,
+                 connected: np.ndarray) -> Census:
+    """Trace leg involution rows and histogram (C, l, conn, tad) by weight;
+    ``connected`` is the caller's connectivity flag per row."""
+    C, lgr, tad = trace_rows(match)
+    base_l = match.shape[1] // 2 + 2
     key = ((C * base_l + lgr) * 2 + connected) * 2 + tad
     counts = np.zeros(int(key.max()) + 1, dtype=np.int64)
     np.add.at(counts, key, weight)
     out: Census = {}
     for packed in np.nonzero(counts)[0]:
-        tadp = bool(packed & 1)
-        connp = bool((packed >> 1) & 1)
         rest = packed >> 2
-        out[(int(rest // base_l), int(rest % base_l), connp, tadp)] = \
-            int(counts[packed])
+        out[(int(rest // base_l), int(rest % base_l), bool(packed & 2),
+             bool(packed & 1))] = int(counts[packed])
     return out
 
 
@@ -180,9 +188,9 @@ def _subtree_tasks(k: int) -> list:
 
 
 def representatives(k: int):
-    """Yield (leg involution rows, int64 weights) batches, one row per class."""
-    for bp, _used, _t, w, _opened in _leaves(k, 0, _root(k)):
-        yield _ab_match(bp), w
+    """Yield (leg involution rows, int64 weights, connected) batches."""
+    for bp, _used, _t, w, opened in _leaves(k, 0, _root(k)):
+        yield _ab_match(bp), w, opened == 1
 
 
 def pairing_census(k: int, threads: int = 1) -> Census:

@@ -31,7 +31,6 @@ from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, assemble_Z,
                      extract_Flp, f_to_json, flp_to_json, formal_log,
                      planar_loop_counts, series_to_json)
 
-CLI_KMAX_CAP = DEFAULT_KMAX
 SUITES = ("wick", "euler", "logcheck", "bound", "propagators")
 
 _CONFIG_KEYS = ("kmax", "N", "d", "eps", "convention", "action",
@@ -53,8 +52,8 @@ class RunConfig:
     suite: str | None = None
 
     def validate(self) -> None:
-        if self.kmax < 0 or self.kmax > CLI_KMAX_CAP:
-            raise ValidationError(f"kmax must be in 0..{CLI_KMAX_CAP}")
+        if self.kmax < 0 or self.kmax > DEFAULT_KMAX:
+            raise ValidationError(f"kmax must be in 0..{DEFAULT_KMAX}")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
         if not self.N or any(n < 1 for n in self.N):
@@ -69,6 +68,8 @@ class RunConfig:
             raise ValidationError(f"unknown action {self.action!r}")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.format!r}")
+        if self.format != "json" and self.command != "expand":
+            raise ValidationError(f"only expand writes {self.format}")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -272,7 +273,7 @@ def _verify_euler(cfg: RunConfig, failure_records: list[dict],
     for k in range(1, cfg.kmax + 1):
         fold: Census = {}
         reps = 0
-        for match, weight in representatives(k):
+        for match, weight, _connected in representatives(k):
             reps += weight.size
             for row, w in zip(match.tolist(), weight.tolist()):
                 p = Pairing(k, tuple(row))

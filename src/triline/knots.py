@@ -12,16 +12,18 @@ first Reidemeister move; ``reduce_R1`` deletes kinks to a fixed point.
 
 The export walks one census representative per class: a shadow is
 connected, so its class fixes vertex 0 and its orientation, and relabeling
-or half-turning the other vertices leaves its canonical code unchanged.  A
-code's multiplicity sums its class weights; ``knots`` writes it that often.
+or half-turning the other vertices leaves its canonical code unchanged.
+The census's batched tracer selects the shadows; the reference tracer in
+``diagrams`` is left to ``to_gauss_code`` and ``verify euler``.  A code's
+multiplicity sums its class weights; ``knots`` writes it that often.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 import re
 
-from .census import representatives
-from .diagrams import Pairing, components_and_genus, is_tadpole
+from .census import is_knot_shadow, representatives, trace_rows
+from .diagrams import Pairing, components_and_genus
 from .errors import ResourceLimitError, StructureError, ValidationError
 from .series import GaussRational, _vertex_prefactor, gauss_rational_json
 
@@ -93,18 +95,16 @@ def to_gauss_code(p: Pairing) -> GaussCode:
     if problems:
         raise StructureError(
             "not a knot shadow: " + ", ".join(problems))
-    return _strand_walk(p)
+    return _strand_walk(p.match)
 
 
-def _strand_walk(p: Pairing) -> GaussCode:
-    """The Gauss code of a pairing already known to be a knot shadow."""
-    match = p.match
+def _strand_walk(match) -> GaussCode:
+    """The Gauss code of a leg involution row known to be a knot shadow."""
     entries = []
     cur = 0
-    for _ in range(2 * p.k):
+    for _ in range(len(match) // 2):
         entries.append((cur // 4 + 1, OVER if cur % 2 == 0 else UNDER))
-        nxt = match[cur]
-        cur = 4 * (nxt // 4) + (nxt % 4 + 2) % 4
+        cur = match[cur] ^ 2      # partner leg, then straight through
     if cur != 0:
         raise StructureError("strand walk failed to close after 2k steps")
     return GaussCode(tuple(entries))
@@ -177,15 +177,13 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
     if k == 0:
         return []
     counts: dict[GaussCode, int] = {}
-    for match, weight in representatives(k):
-        for row, w in zip(match.tolist(), weight.tolist()):
-            p = Pairing(k, tuple(row))
-            rep = components_and_genus(p)
-            if rep.components != 1 or rep.l != 1 or rep.C != k + 2:
-                continue
-            if action == "wick_ordered" and is_tadpole(p):
-                continue
-            code = canonical_code(_strand_walk(p))
+    for match, weight, connected in representatives(k):
+        C, l, tad = trace_rows(match)
+        keep = is_knot_shadow(k, C, l, connected)
+        if action == "wick_ordered":
+            keep &= ~tad
+        for row, w in zip(match[keep].tolist(), weight[keep].tolist()):
+            code = canonical_code(_strand_walk(row))
             counts[code] = counts.get(code, 0) + w
     pref = _vertex_prefactor(k, convention)
     return [(code, mult, pref) for code, mult in counts.items()]

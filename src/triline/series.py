@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .census import Census, pairing_census
+from .census import Census, is_knot_shadow, pairing_census
 from .diagrams import components_and_genus, enumerate_matchings, leg_family
 from .errors import ResourceLimitError, StructureError, ValidationError
 
@@ -76,9 +76,6 @@ class GaussRational:
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
     def __str__(self) -> str:
         if not self:
@@ -332,17 +329,13 @@ def extract_Flp(lnz_norm: TriSeries) -> FlpTable:
 
 @dataclass
 class FSeries:
-    """F(g) = logpi + F_{1,0}(g): symbolic constant plus exact polynomial."""
+    """F(g) = ln(pi) + F_{1,0}(g): symbolic constant plus exact polynomial."""
 
     kmax: int
-    logpi: Fraction
     coeffs: dict[int, GaussRational]
 
     def render(self) -> str:
-        parts = []
-        if self.logpi:
-            pref = "" if self.logpi == 1 else f"{self.logpi}*"
-            parts.append(f"{pref}ln(pi)")
+        parts = ["ln(pi)"]
         for k in sorted(self.coeffs):
             c = self.coeffs[k]
             if not c:
@@ -350,15 +343,15 @@ class FSeries:
             mono = "g" if k == 1 else f"g^{k}"
             s = str(c)
             if s.startswith("-"):
-                parts.append(f"- {s[1:]}*{mono}" if parts else f"-{s[1:]}*{mono}")
+                parts.append(f"- {s[1:]}*{mono}")
             else:
-                parts.append(f"+ {s}*{mono}" if parts else f"{s}*{mono}")
-        return " ".join(parts) if parts else "0"
+                parts.append(f"+ {s}*{mono}")
+        return " ".join(parts)
 
 
 def F_of_g(t: FlpTable) -> FSeries:
-    """The alternating-knot-diagram generating function logpi + F_{1,0}."""
-    return FSeries(kmax=t.kmax, logpi=Fraction(1), coeffs=t.poly(1, 0))
+    """The alternating-knot-diagram generating function ln(pi) + F_{1,0}."""
+    return FSeries(kmax=t.kmax, coeffs=t.poly(1, 0))
 
 
 def double_limit_check(series: TriSeries) -> bool:
@@ -395,11 +388,10 @@ def double_limit_check(series: TriSeries) -> bool:
 def planar_loop_counts(table: CensusTable) -> dict[int, int]:
     """Raw count per order of connected planar single-Greek-loop pairings.
 
-    These are the pairings behind F_{1,0}; connected with one component,
-    genus 0 means C = k + 2.
+    These are the knot shadows behind F_{1,0} (``census.is_knot_shadow``).
     """
     return {k: sum(count for (C, l, conn, _tad), count in table[k].items()
-                   if conn and l == 1 and C == k + 2)
+                   if is_knot_shadow(k, C, l, conn))
             for k in range(1, _table_kmax(table) + 1)}
 
 
@@ -434,8 +426,8 @@ def flp_to_json(t: FlpTable) -> dict:
 def f_to_json(f: FSeries) -> dict:
     return {
         "kmax": f.kmax,
-        "logpi_num": f.logpi.numerator,
-        "logpi_den": f.logpi.denominator,
+        "logpi_num": 1,
+        "logpi_den": 1,
         "terms": [dict(k=k, **gauss_rational_json(f.coeffs[k]))
                   for k in sorted(f.coeffs) if f.coeffs[k]],
         "rendered": f.render(),

@@ -7,8 +7,9 @@ import pytest
 
 from triline import census
 from triline.census import (_ab_match, _census_rows, _row_cycle_counts, pairing_census,
-                            representatives)
-from triline.diagrams import components_and_genus, enumerate_matchings, is_tadpole
+                            representatives, trace_rows)
+from triline.diagrams import Pairing, components_and_genus, enumerate_matchings, \
+    is_tadpole
 from triline.errors import InvariantViolation, ResourceLimitError
 from unreduced import count_matchings, iter_matchings_batched
 
@@ -100,8 +101,22 @@ def test_parallel_census_bit_identical():
 def test_representatives_count_and_weight():
     for k, want in zip(range(1, 6), (2, 14, 122, 1_238, 14_306)):
         batches = list(representatives(k))
-        assert sum(w.size for _match, w in batches) == want
-        assert sum(int(w.sum()) for _match, w in batches) == math.factorial(2 * k)
+        assert sum(w.size for _match, w, _conn in batches) == want
+        assert sum(int(w.sum()) for _match, w, _conn in batches) == \
+            math.factorial(2 * k)
+
+
+def test_trace_rows_equal_reference_tracer():
+    # all 15,682 representatives at k <= 5, row by row: the knot export
+    # selects its shadows from trace_rows and the generator's flag alone
+    for k in range(1, 6):
+        for match, _w, connected in representatives(k):
+            C, l, tad = trace_rows(match)
+            got = zip(C.tolist(), l.tolist(), connected.tolist(), tad.tolist())
+            for row, key in zip(match.tolist(), got):
+                p = Pairing(k, tuple(row))
+                rep = components_and_genus(p)
+                assert key == (rep.C, rep.l, rep.components == 1, is_tadpole(p))
 
 
 def test_generator_openings_flag_is_connectivity():

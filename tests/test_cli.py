@@ -140,6 +140,16 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         load_config_file(str(bad))
 
 
+def test_csv_refused_outside_expand(tmp_path):
+    # only expand has a csv writer; elsewhere the flag would be ignored
+    assert run(["knots", "--kmax", "1", "--format", "csv"]) == 2
+    cfg_file = tmp_path / "csv.cfg"
+    cfg_file.write_text("format = csv\n")
+    assert run(["knots", "--kmax", "1", "--config", str(cfg_file)]) == 2
+    assert run(["verify", "logcheck", "--kmax", "1",
+                "--config", str(cfg_file)]) == 2
+
+
 def test_run_config_validation():
     cfg = RunConfig(command="expand", kmax=9)
     with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triline import diagrams, knots
 from triline.census import pairing_census
 from triline.diagrams import Pairing, components_and_genus, enumerate_matchings, \
     is_tadpole, trace_greek_loops
@@ -106,6 +107,20 @@ def test_multiplicities_equal_per_pairing_fold(k):
     std, wo = per_pairing_codes(k)
     assert multiplicities(k) == std
     assert multiplicities(k, "wick_ordered") == wo
+
+
+def test_export_never_calls_reference_tracer(monkeypatch):
+    want = {(k, action): multiplicities(k, action)
+            for k in range(1, 5) for action in ("standard", "wick_ordered")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reference tracer called by the knot export")
+
+    for module in (knots, diagrams):
+        for name in ("Pairing", "components_and_genus", "is_tadpole"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for (k, action), codes in want.items():
+        assert multiplicities(k, action) == codes
 
 
 def test_coefficients_sum_to_f10():

@@ -109,7 +109,7 @@ def test_flp_lattice_and_f_values():
     table = extract_Flp(lnz)
     assert reconstruct(table) == lnz
     f = F_of_g(table)
-    assert f.logpi == 1
+    assert f.render() == "ln(pi) - i*g - 2*g^2 + 7i*g^3"
     assert f.coeffs[1] == GR(0, -1)
     assert f.coeffs[2] == GR(-2)
     assert f.coeffs[3] == GR(0, 7)

@@ -72,7 +72,9 @@ def iter_matchings_batched(k: int, mode: str = "ab_only"):
         for j1 in rest0[1:]:
             lab = np.array([x for x in rest0 if x not in (a1, j1)],
                            dtype=np.int8)
-            out[lab] = lab[base]
+            for i, row in enumerate(base):
+                # relabel in place: no fancy-indexed temporary block
+                np.take(lab, row, out=out[lab[i]])
             out[0] = j0
             out[j0] = 0
             out[a1] = j1
