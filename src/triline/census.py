@@ -41,13 +41,16 @@ for the generator's rows only, so the tracer takes the flag as an argument.
 With ``threads == 1`` the census expands the root state level by level in
 numpy, ``_ROW_CHUNK`` rows at a time, and traces the representatives as
 they come, so no order holds all of them at once; ``representatives``
-streams the same way.  With ``threads > 1`` it runs a process pool at any
-k; the generator states after the first ``_SPLIT_DEPTH`` choices are the
-tasks (at least two for any k), each streamed alike.  Task histograms are
-merged in task order, and the histogram holds exact integers, so any
-``threads`` gives the same census.  A pool costs more to start than orders
-below ``series.POOL_MIN_K`` take serially, so ``series.census_table``
-passes ``threads`` on only from that order.
+streams the same way.  The peak is the chunk size times the row width,
+summed over levels, so rows take the narrowest dtypes that hold their
+values (k = 7: 35.3 MB, not 40.7; halving the chunk would cost 5-10% of
+its time in per-batch overhead).  With ``threads > 1`` it runs a process
+pool at any k; the generator states after the first ``_SPLIT_DEPTH``
+choices are the tasks (at least two for any k), each streamed alike.  Task
+histograms are merged in task order, and the histogram holds exact
+integers, so any ``threads`` gives the same census.  A pool costs more to
+start than orders below ``series.POOL_MIN_K`` take serially, so
+``series.census_table`` passes ``threads`` on only from that order.
 """
 from __future__ import annotations
 
@@ -62,7 +65,7 @@ _ROW_CHUNK = 4_096       # rows expanded or traced per numpy batch
 _SPLIT_DEPTH = 3         # generator choices fixed per pool task
 
 Census = dict[tuple[int, int, bool, bool], int]
-State = tuple[np.ndarray, ...]   # bp, used, t, w, opened
+State = tuple[np.ndarray, ...]   # bp, used (2k-bit mask), t, w, opened
 
 
 def _row_cycle_counts(perm: np.ndarray) -> np.ndarray:
@@ -138,8 +141,9 @@ def _merge(into: Census, part: Census) -> None:
 
 def _root(k: int) -> State:
     """The generator's start: nothing paired or touched, weight 1."""
-    zero = np.zeros(1, dtype=np.int64)
-    return np.zeros((1, 2 * k), dtype=np.int32), zero, zero, zero + 1, zero
+    zero = np.zeros(1, dtype=np.int8)
+    return (np.zeros((1, 2 * k), dtype=np.int8), np.zeros(1, dtype=np.int16),
+            zero, np.ones(1, dtype=np.int64), zero)
 
 
 def _children(k: int, a: int, state: State) -> State:
@@ -148,13 +152,13 @@ def _children(k: int, a: int, state: State) -> State:
     opening = a == 2 * t      # no touched A-index left: touch vertex t
     t = t + opening
     opened = opened + opening
-    j = np.arange(2 * k)
+    j = np.arange(2 * k, dtype=used.dtype)
     rows, cols = np.nonzero((j <= 2 * t[:, None]) & ((used[:, None] >> j) & 1 == 0))
     t = t[rows]
     fresh = cols == 2 * t
     child = bp[rows]
     child[:, a] = cols
-    return (child, used[rows] | (1 << cols), t + fresh,
+    return (child, used[rows] | (1 << j)[cols], t + fresh,
             w[rows] * np.where(fresh, 2 * (k - t), 1), opened[rows])
 
 

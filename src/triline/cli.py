@@ -10,11 +10,13 @@ import argparse
 import csv
 import io
 import json
+import random
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
 from .cosbasis import MatrixPair
 from .census import Census, representatives
 from .diagrams import DEFAULT_KMAX, Pairing, components_and_genus, is_tadpole
@@ -216,12 +218,14 @@ def _verify_propagators(cfg: RunConfig, failures: list[str]) -> None:
     for N in cfg.N:
         for d in cfg.d:
             symbols = _entry_pool(N, d)
-            pos = entry_positions(symbols, N, d)
-            cov = richardson_limit(lambda eps: cached_oracle(N, d, eps).cov)
+            pos = entry_positions(symbols, N, d)     # validates the pool
+            # no eps is reused, so the oracles bypass ``cached_oracle``
+            cov = richardson_limit(
+                lambda eps: oracle.OracleCovariance(N, d, eps).cov)
             got = cov[np.ix_(pos, pos)]
             for i, x in enumerate(symbols):
                 for j, y in enumerate(symbols):
-                    want = propagator(x, y, N=N, d=d)
+                    want = propagator(x, y)
                     if abs(got[i, j] - want) >= 1e-8:
                         failures.append(
                             f"propagator N={N} d={d} {x} {y}: "
@@ -236,12 +240,12 @@ def _verify_wick(cfg: RunConfig, failures: list[str]) -> None:
         got = sum(1 for _ in iter_pair_partitions(2 * m))
         if got != want:
             failures.append(f"pair partition count 2m={2*m}: {got} != {want}")
-    rng = np.random.default_rng(20260823)
+    rng = random.Random(20260823)     # numpy.random would cost 5.6 MB RSS
     for N in cfg.N:
         for d in cfg.d:
             pool = _entry_pool(N, d)
-            picks = [list(rng.choice(len(pool), size=4)) for _ in range(8)]
-            picks += [list(rng.choice(len(pool), size=6)) for _ in range(4)]
+            picks = [rng.choices(range(len(pool)), k=4) for _ in range(8)]
+            picks += [rng.choices(range(len(pool)), k=6) for _ in range(4)]
             for idxs in picks:
                 entries = [pool[i] for i in idxs]
                 want = wick_moment(entries)

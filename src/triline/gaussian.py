@@ -259,12 +259,12 @@ def general_propagators(action: str = ACTION_STANDARD) -> PropagatorMatrix:
     return PropagatorMatrix(blocks=blocks)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def quartic_monomials(N: int, d: int) -> tuple[tuple[EntrySymbol, ...], ...]:
     """Entry factors of sum_{mu nu} Tr(A_mu B_nu A_mu B_nu), one tuple each.
 
-    Built once per (N, d): ``wick_order_quartic`` and the oracle check of
-    the ordered vertex read the same d^2 N^4 monomials.
+    Only the last (N, d) is kept: ``wick_order_quartic`` and the oracle check
+    of the ordered vertex read the same d^2 N^4 monomials back to back.
     """
     r = range(1, N + 1)
     return tuple((A(mu, j, l), B(nu, l, m), A(mu, m, n), B(nu, n, j))

@@ -95,11 +95,11 @@ def to_gauss_code(p: Pairing) -> GaussCode:
     if problems:
         raise StructureError(
             "not a knot shadow: " + ", ".join(problems))
-    return _strand_walk(p.match)
+    return GaussCode(_strand_walk(p.match))
 
 
-def _strand_walk(match) -> GaussCode:
-    """The Gauss code of a leg involution row known to be a knot shadow."""
+def _strand_walk(match) -> tuple[tuple[int, str], ...]:
+    """Gauss code entries of a leg involution row known to be a knot shadow."""
     entries = []
     cur = 0
     for _ in range(len(match) // 2):
@@ -107,7 +107,7 @@ def _strand_walk(match) -> GaussCode:
         cur = match[cur] ^ 2      # partner leg, then straight through
     if cur != 0:
         raise StructureError("strand walk failed to close after 2k steps")
-    return GaussCode(tuple(entries))
+    return tuple(entries)
 
 
 def alternating_check(c: GaussCode) -> bool:
@@ -134,25 +134,14 @@ def reduce_R1(c: GaussCode) -> GaussCode:
 
 def canonical_code(c: GaussCode) -> GaussCode:
     """Lex-least rotation with ids relabeled by first appearance, O < U."""
-    n = len(c.entries)
-    if n == 0:
+    if not c.entries:
         return c
-    best = None
-    best_entries = None
-    for r in range(n):
-        rot = c.entries[r:] + c.entries[:r]
+
+    def relabeled(r: int) -> tuple[tuple[int, str], ...]:
         relab: dict[int, int] = {}
-        key = []
-        out = []
-        for cid, p in rot:
-            if cid not in relab:
-                relab[cid] = len(relab) + 1
-            key.append((relab[cid], 0 if p == OVER else 1))
-            out.append((relab[cid], p))
-        t = tuple(key)
-        if best is None or t < best:
-            best, best_entries = t, tuple(out)
-    return GaussCode(best_entries)
+        return tuple((relab.setdefault(cid, len(relab) + 1), p)
+                     for cid, p in c.entries[r:] + c.entries[:r])
+    return GaussCode(min(relabeled(r) for r in range(len(c.entries))))
 
 
 TREFOIL = GaussCode.parse("O1U2O3U1O2U3")
@@ -177,13 +166,17 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
     if k == 0:
         return []
     counts: dict[GaussCode, int] = {}
+    canonical: dict[tuple, GaussCode] = {}    # walked entries -> canonical code
     for match, weight, connected in representatives(k):
         C, l, tad = trace_rows(match)
         keep = is_knot_shadow(k, C, l, connected)
         if action == "wick_ordered":
             keep &= ~tad
         for row, w in zip(match[keep].tolist(), weight[keep].tolist()):
-            code = canonical_code(_strand_walk(row))
+            walked = _strand_walk(row)
+            code = canonical.get(walked)
+            if code is None:
+                code = canonical[walked] = canonical_code(GaussCode(walked))
             counts[code] = counts.get(code, 0) + w
     pref = _vertex_prefactor(k, convention)
     return [(code, mult, pref) for code, mult in counts.items()]

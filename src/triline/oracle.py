@@ -8,7 +8,8 @@ M whose real part eps*I is positive definite, everything is exact linear
 algebra:
 
 * moments: Isserlis pairing sums over one entry-covariance matrix per
-  eps, K = C Sigma C^T with Sigma = M^{-1}, batched over products;
+  eps, K = C Sigma C^T, batched over products; M = kron(2 x 2 block,
+  diagonal), so Sigma = M^{-1} comes from the block's inverse;
 * normalization: (2 pi)^{n/2} / sqrt(det M);
 * characteristic function: normalization * exp(-1/2 j^T Sigma j).
 
@@ -24,7 +25,8 @@ import math
 
 import numpy as np
 
-from .cosbasis import FAMILIES, KIND_DIAG, KIND_RE, MatrixPair, cos_basis
+from .cosbasis import (FAMILIES, KIND_DIAG, KIND_IM, KIND_RE, MatrixPair,
+                       cos_basis)
 from .errors import InvariantViolation, ValidationError
 from .gaussian import ACTION_QUAD, ACTION_STANDARD, ACTIONS, validate_entries
 
@@ -49,16 +51,17 @@ def entry_positions(entries, N: int, d: int) -> np.ndarray:
 
 
 class OracleCovariance:
-    """Coupling matrix, its inverse, and the entry covariance of one eps.
+    """Entry covariance of one eps; dense ``coupling``/``inverse`` on demand.
 
     Coordinates are the orthogonal-basis tags of ``cos_basis``, family A's
-    block first and family B's in the same order.  The coupling pairs each
-    A coordinate with its B twin: s * (eps * I - i * M_q), where M_q is the
-    per-pair quadratic form of the action and s = 1 for diagonal
-    coordinates, 2 for off-diagonal ones (off-diagonal entries appear twice
-    in each trace).  ``cov = C Sigma C^T`` holds the second moment of every
-    pair of matrix entries in ``entry_positions`` order, C expanding each
-    entry over the coordinates (coefficients 1 and +-i).
+    block first and family B's in the same order.  The coupling pairs each A
+    coordinate with its B twin: M = kron(block, diag(s)), block = eps * I -
+    i * M_q for the per-pair quadratic form M_q of the action, s = 1 for
+    diagonal coordinates and 2 for off-diagonal ones (they appear twice in
+    each trace), so Sigma = kron(block^{-1}, diag(1/s)).  ``cov = C Sigma
+    C^T`` holds the second moment of every pair of matrix entries in
+    ``entry_positions`` order, gathered from Sigma: a row of C has at most
+    two terms, with coefficients 1 and +-i.
     """
 
     def __init__(self, N: int, d: int, epsilon: float,
@@ -75,29 +78,43 @@ class OracleCovariance:
         self.action = action
         self.labels = cos_basis(N, d)
         n = len(self.labels)
-        scale = [1.0 if e.kind == KIND_DIAG else 2.0 for e in self.labels[:n // 2]]
-        block = epsilon * np.eye(2) - 1j * np.array(ACTION_QUAD[action])
-        M = np.kron(block, np.diag(scale))
-        self.coupling = M
-        try:
-            self.inverse = np.linalg.inv(M)
-        except np.linalg.LinAlgError as exc:
-            raise InvariantViolation(f"coupling matrix not invertible: {exc}")
-        resid = np.max(np.abs(M @ self.inverse - np.eye(n)))
-        if resid > _RESIDUAL_TOL:
+        self.scale = np.array(
+            [1.0 if e.kind == KIND_DIAG else 2.0 for e in self.labels[:n // 2]])
+        self.block = epsilon * np.eye(2) - 1j * np.array(ACTION_QUAD[action])
+        (b00, b01), (b10, b11) = self.block
+        self.block_inverse = (np.array([[b11, -b01], [-b10, b00]])
+                              / (b00 * b11 - b01 * b10))
+        # M Sigma - I = kron(block block^{-1} - I, I)
+        resid = np.max(np.abs(self.block @ self.block_inverse - np.eye(2)))
+        if not resid <= _RESIDUAL_TOL:
             raise InvariantViolation(
                 f"coupling inverse residual {resid:g} exceeds {_RESIDUAL_TOL}")
-        C = np.zeros((n, n), dtype=complex)
+        # rows of C as (coordinate, coefficient) pairs; slot 1: imaginary part
+        coord = np.zeros((n, 2), dtype=np.intp)
+        coef = np.zeros((n, 2), dtype=complex)
         for i, e in enumerate(self.labels):
-            kl = _position(e.family, e.mu, e.k, e.l, N, d)
-            lk = _position(e.family, e.mu, e.l, e.k, N, d)
-            if e.kind == KIND_DIAG:
-                C[kl, i] = 1.0
-            elif e.kind == KIND_RE:
-                C[kl, i] = C[lk, i] = 1.0
-            else:
-                C[kl, i], C[lk, i] = 1.0j, -1.0j
-        self.cov = C @ self.inverse @ C.T
+            rows = [_position(e.family, e.mu, e.k, e.l, N, d),
+                    _position(e.family, e.mu, e.l, e.k, N, d)]
+            slot = int(e.kind == KIND_IM)
+            coord[rows, slot] = i
+            coef[rows, slot] = (1.0j, -1.0j) if slot else 1.0
+        # Sigma[i, j] = block^{-1}[i // h, j // h] / s[i % h] if i % h == j % h
+        fam, loc = np.divmod(coord, n // 2)
+        self.cov = np.zeros((n, n), dtype=complex)
+        for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            p, q = np.nonzero(loc[:, s, None] == loc[None, :, t])
+            self.cov[p, q] += (coef[p, s] * coef[q, t] / self.scale[loc[p, s]]
+                               * self.block_inverse[fam[p, s], fam[q, t]])
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """The dense coupling matrix M."""
+        return np.kron(self.block, np.diag(self.scale))
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The dense Sigma = M^{-1}."""
+        return np.kron(self.block_inverse, np.diag(1.0 / self.scale))
 
     def moments(self, pos) -> np.ndarray:
         """Normalized moments of a batch of products (Isserlis expansion).

@@ -98,6 +98,23 @@ def test_parallel_census_bit_identical():
     assert pairing_census(5, threads=2) == pairing_census(5)
 
 
+def test_results_independent_of_row_chunk(monkeypatch):
+    # batch boundaries move; the census and the representative stream
+    # (rows, weights, flags and their order) must not
+    def stream(k):
+        batches = list(representatives(k))
+        return [np.concatenate(part) for part in zip(*batches)]
+
+    default = {k: pairing_census(k) for k in range(1, 7)}
+    rows = {k: stream(k) for k in range(1, 6)}
+    monkeypatch.setattr(census, "_ROW_CHUNK", 7)
+    for k in range(1, 7):
+        assert pairing_census(k) == default[k]
+    for k in range(1, 6):
+        for got, want in zip(stream(k), rows[k]):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_representatives_count_and_weight():
     for k, want in zip(range(1, 6), (2, 14, 122, 1_238, 14_306)):
         batches = list(representatives(k))

@@ -235,6 +235,17 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_verify_wick_loads_no_numpy_random():
+    # the products are drawn with the stdlib's random
+    code = ("import sys; from triline.cli import main; "
+            "rc = main(['verify', 'wick', '--N', '1', '--d', '1']); "
+            "print(rc, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(triline.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["0", "False"]
+
+
 def test_verify_logcheck_k5_on_two_threads_loads_no_process_pool():
     # orders below series.POOL_MIN_K are traced in the parent
     code = ("import sys; from triline.cli import main; "

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from triline.cosbasis import MatrixPair
+from triline.cosbasis import KIND_DIAG, KIND_RE, MatrixPair, cos_basis
 from triline.errors import InvariantViolation, ValidationError
-from triline.gaussian import A, B, free_partition
+from triline.gaussian import ACTION_QUAD, ACTIONS, A, B, free_partition
 from triline.oracle import (OracleCovariance, cached_oracle, entry_positions,
                             gaussian_oracle_moment, richardson_limit)
 
@@ -25,6 +25,54 @@ def test_coupling_inverse_residual_guard():
     n = len(orc.labels)
     residual = np.max(np.abs(orc.coupling @ orc.inverse - np.eye(n)))
     assert residual < 1e-10
+
+
+def _dense_reference(N, d, eps, action):
+    """Dense coupling M, entry expansion C and Sigma = inv(M), built directly."""
+    labels = cos_basis(N, d)
+    n = len(labels)
+    scale = [1.0 if e.kind == KIND_DIAG else 2.0 for e in labels[:n // 2]]
+    M = np.kron(eps * np.eye(2) - 1j * np.array(ACTION_QUAD[action]),
+                np.diag(scale))
+
+    def pos(e, k, l):
+        return (("AB".index(e.family) * d + e.mu - 1) * N + k - 1) * N + l - 1
+
+    C = np.zeros((n, n), dtype=complex)
+    for i, e in enumerate(labels):
+        if e.kind == KIND_DIAG:
+            C[pos(e, e.k, e.k), i] = 1.0
+        elif e.kind == KIND_RE:
+            C[pos(e, e.k, e.l), i] = C[pos(e, e.l, e.k), i] = 1.0
+        else:
+            C[pos(e, e.k, e.l), i], C[pos(e, e.l, e.k), i] = 1.0j, -1.0j
+    return M, C, np.linalg.inv(M)
+
+
+def test_block_covariance_equals_dense_reference():
+    for N in (1, 2, 3):
+        for d in (1, 2):
+            for action in ACTIONS:
+                for eps in (0.3, 1e-2, 1e-5):
+                    M, C, sigma = _dense_reference(N, d, eps, action)
+                    orc = OracleCovariance(N, d, eps, action)
+                    want = C @ sigma @ C.T
+                    assert np.max(np.abs(orc.cov - want)) <= \
+                        1e-12 * np.max(np.abs(want))
+                    sign, logabs = np.linalg.slogdet(M)
+                    norm = ((2 * math.pi) ** (len(M) / 2)
+                            / (np.exp(0.5 * logabs) * np.sqrt(sign)))
+                    assert orc.normalization() == pytest.approx(norm, rel=1e-12)
+
+
+def test_oracle_keeps_only_the_covariance():
+    # coupling and inverse are built on demand, never stored
+    for N, d in ((1, 1), (3, 2), (4, 3)):
+        orc = OracleCovariance(N, d, 0.01)
+        n = len(orc.labels)
+        held = sum(v.nbytes for v in vars(orc).values()
+                   if isinstance(v, np.ndarray))
+        assert held <= orc.cov.nbytes + 64 * n + 256
 
 
 def test_entry_covariance_finite_epsilon_values():
