@@ -23,20 +23,24 @@ the representative stands for.  Weights are summed as exact int64; those of
 an order must total (2k)!, or the census raises ``InvariantViolation``.
 ``representatives`` streams the same rows, weights and connectivity flags,
 untraced: the knot export traces them with ``trace_rows``, and only
-``verify euler`` runs the reference tracer on them.
+``verify euler`` widens them to leg involutions for the reference tracer.
 
-Tracing shares no algorithm with the reference tracer in ``diagrams``:
-Latin loops are the cycles of the leg involution ``match`` after ``succ``
-(next position on the same vertex), one per loop.  Greek loops are half the
-cycles of match XOR 2 (slot mate of the partner), each loop being seen once
-per direction; those cycles alternate A- and B-legs, so they are counted
-as the cycles of its square on the 2k A-indices, tau(i) = pinv[bp[i] ^ 1] ^ 1.
-Cycles are counted by pointer-doubling minimum propagation over the raveled
-batch, with flat gathers.  Connectivity comes from the generator.  It
-opens a vertex when every touched A-index is paired; then every touched
-B-index is paired too, so each opening after the first starts a new
-component, and a row is connected iff it has one opening.  The rule holds
-for the generator's rows only, so the tracer takes the flag as an argument.
+Tracing shares no algorithm with the reference tracer in ``diagrams`` and
+never widens a row to the 4k legs.  Give A-index x row index alpha(x) and
+column index beta(x); around the vertex trace A B A B, B-index y then has
+row beta(y) and column alpha(y ^ 1).  Pairing x with bp[x] sets beta(x) =
+beta(bp[x]) and alpha(x) = alpha(bp[x] ^ 1), so the Latin loops number C =
+cycles(bp) + cycles(bp ^ 1).  A Greek loop runs from A-index x to bp[x],
+across its vertex to bp[x] ^ 1, to that one's partner and across again:
+tau(x) = pinv[bp[x] ^ 1] ^ 1, pinv inverting bp.  It meets the A-indices
+once per direction, so l = cycles(tau) / 2.  A tadpole pairs an A-index
+with a B-index of its own vertex: bp[x] >> 1 == x >> 1.  Cycles are counted
+by pointer-doubling minimum propagation over the raveled batch, with flat
+gathers.  Connectivity comes from the generator.  It opens a vertex when
+every touched A-index is paired; then every touched B-index is paired too,
+so each opening after the first starts a new component, and a row is
+connected iff it has one opening.  The rule holds for the generator's rows
+only, so the tracer takes the flag as an argument.
 
 With ``threads == 1`` the census expands the root state level by level in
 numpy, ``_ROW_CHUNK`` rows at a time, and traces the representatives as
@@ -86,30 +90,12 @@ def _row_cycle_counts(perm: np.ndarray) -> np.ndarray:
     return (lab.reshape(rows, n) == ident).sum(axis=1)
 
 
-def _ab_match(bp: np.ndarray) -> np.ndarray:
-    """Leg involution rows (partner leg of each leg) of a batch of ab rows."""
-    n2 = bp.shape[1]
-    pinv = np.empty_like(bp)
-    np.put_along_axis(
-        pinv, bp,
-        np.broadcast_to(np.arange(n2, dtype=bp.dtype), bp.shape), axis=1)
-    match = np.empty((bp.shape[0], 2 * n2), dtype=np.int32)
-    match[:, 0::2] = 2 * bp + 1
-    match[:, 1::2] = 2 * pinv
-    return match
-
-
-def trace_rows(match: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Latin loops C, Greek loops l and tadpole flag per leg involution row."""
-    n = match.shape[1]
-    legs = np.arange(n)
-    succ = legs - legs % 4 + (legs + 1) % 4
-    C = _row_cycle_counts(match[:, succ])
-    slot = match ^ 2
-    tau = np.take_along_axis(slot, slot[:, 0::2], axis=1) >> 1   # A-index rows
-    lgr = _row_cycle_counts(tau) // 2
-    tad = (match[:, 0::2] // 4 == np.arange(n // 2) // 2).any(axis=1)
-    return C, lgr, tad
+def trace_rows(bp: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Latin loops C, Greek loops l and tadpole flag per ab row."""
+    C = _row_cycle_counts(bp) + _row_cycle_counts(bp ^ 1)
+    tau = np.take_along_axis(bp.argsort(axis=1), bp ^ 1, axis=1) ^ 1
+    tad = (bp >> 1 == np.arange(bp.shape[1]) >> 1).any(axis=1)
+    return C, _row_cycle_counts(tau) // 2, tad
 
 
 def is_knot_shadow(k: int, C, l, connected):
@@ -117,12 +103,12 @@ def is_knot_shadow(k: int, C, l, connected):
     return connected & (l == 1) & (C == k + 2)
 
 
-def _census_rows(match: np.ndarray, weight: np.ndarray,
+def _census_rows(bp: np.ndarray, weight: np.ndarray,
                  connected: np.ndarray) -> Census:
-    """Trace leg involution rows and histogram (C, l, conn, tad) by weight;
+    """Trace ab rows and histogram (C, l, conn, tad) by weight;
     ``connected`` is the caller's connectivity flag per row."""
-    C, lgr, tad = trace_rows(match)
-    base_l = match.shape[1] // 2 + 2
+    C, lgr, tad = trace_rows(bp)
+    base_l = bp.shape[1] + 2
     key = ((C * base_l + lgr) * 2 + connected) * 2 + tad
     counts = np.zeros(int(key.max()) + 1, dtype=np.int64)
     np.add.at(counts, key, weight)
@@ -163,9 +149,10 @@ def _children(k: int, a: int, state: State) -> State:
 
 
 def _leaves(k: int, a: int, state: State):
-    """Complete representatives below ``state`` (depth a), in batches."""
+    """(bp, weight, connected) batches of the rows below ``state``, depth a."""
     if a == 2 * k:
-        yield state
+        bp, _used, _t, w, opened = state
+        yield bp, w, opened == 1
         return
     child = _children(k, a, state)
     for lo in range(0, child[0].shape[0], _ROW_CHUNK):
@@ -175,8 +162,8 @@ def _leaves(k: int, a: int, state: State):
 def _subtree_census(args) -> Census:
     k, a, state = args
     total: Census = {}
-    for bp, _used, _t, w, opened in _leaves(k, a, state):
-        _merge(total, _census_rows(_ab_match(bp), w, opened == 1))
+    for batch in _leaves(k, a, state):
+        _merge(total, _census_rows(*batch))
     return total
 
 
@@ -192,9 +179,8 @@ def _subtree_tasks(k: int) -> list:
 
 
 def representatives(k: int):
-    """Yield (leg involution rows, int64 weights, connected) batches."""
-    for bp, _used, _t, w, opened in _leaves(k, 0, _root(k)):
-        yield _ab_match(bp), w, opened == 1
+    """Yield (ab rows, int64 weights, connected) batches."""
+    yield from _leaves(k, 0, _root(k))
 
 
 def pairing_census(k: int, threads: int = 1) -> Census:

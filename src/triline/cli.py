@@ -34,6 +34,7 @@ from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, assemble_Z,
                      planar_loop_counts, series_to_json)
 
 SUITES = ("wick", "euler", "logcheck", "bound", "propagators")
+_RECORD_COPIES = 512    # knot record copies per chunk; k = 5 has 61,440 of one
 
 _CONFIG_KEYS = ("kmax", "N", "d", "eps", "convention", "action",
                 "threads", "out", "format")
@@ -201,8 +202,8 @@ def cmd_knots(cfg: RunConfig) -> int:
             records.append((line + "\n", mult))
         per_order.append(f"k={k}: {sum(m for _, m, _ in codes)} "
                          f"({len(codes)} codes)")
-    # one record's lines at a time: the whole export is 75 MB at k = 5
-    _emit(cfg, (line * mult for line, mult in records))
+    _emit(cfg, (line * min(_RECORD_COPIES, mult - i) for line, mult in records
+                for i in range(0, mult, _RECORD_COPIES)))
     _note("knot diagrams per order: " + ", ".join(per_order))
     return 0
 
@@ -277,8 +278,12 @@ def _verify_euler(cfg: RunConfig, failure_records: list[dict],
     for k in range(1, cfg.kmax + 1):
         fold: Census = {}
         reps = 0
-        for match, weight, _connected in representatives(k):
+        for bp, weight, _connected in representatives(k):
             reps += weight.size
+            # leg rows: A-index i is leg 2i, B-index j is leg 2j + 1
+            match = np.empty((len(bp), 4 * k), dtype=np.int8)
+            match[:, 0::2] = 2 * bp + 1
+            match[:, 1::2] = 2 * bp.argsort(axis=1)
             for row, w in zip(match.tolist(), weight.tolist()):
                 p = Pairing(k, tuple(row))
                 try:

@@ -13,8 +13,9 @@ first Reidemeister move; ``reduce_R1`` deletes kinks to a fixed point.
 The export walks one census representative per class: a shadow is
 connected, so its class fixes vertex 0 and its orientation, and relabeling
 or half-turning the other vertices leaves its canonical code unchanged.
-The census's batched tracer selects the shadows; the reference tracer in
-``diagrams`` is left to ``to_gauss_code`` and ``verify euler``.  A code's
+The census's batched tracer selects the shadows and the export walks its ab
+rows; ``to_gauss_code``, the reference the export is tested against, walks
+the legs of a ``Pairing`` checked by the tracer in ``diagrams``.  A code's
 multiplicity sums its class weights; ``knots`` writes it that often.
 """
 from __future__ import annotations
@@ -93,19 +94,25 @@ def to_gauss_code(p: Pairing) -> GaussCode:
     if any(g > 0 for g in rep.genus_per_component):
         problems.append(f"genus {max(rep.genus_per_component)}")
     if problems:
-        raise StructureError(
-            "not a knot shadow: " + ", ".join(problems))
-    return GaussCode(_strand_walk(p.match))
-
-
-def _strand_walk(match) -> tuple[tuple[int, str], ...]:
-    """Gauss code entries of a leg involution row known to be a knot shadow."""
-    entries = []
-    cur = 0
-    for _ in range(len(match) // 2):
+        raise StructureError("not a knot shadow: " + ", ".join(problems))
+    entries, cur = [], 0
+    for _ in range(2 * p.k):
         entries.append((cur // 4 + 1, OVER if cur % 2 == 0 else UNDER))
-        cur = match[cur] ^ 2      # partner leg, then straight through
-    if cur != 0:
+        cur = p.match[cur] ^ 2      # partner leg, then straight through
+    return GaussCode(tuple(entries))
+
+
+def _strand_walk(bp) -> tuple[tuple[int, str], ...]:
+    """Gauss code entries of an ab row known to be a knot shadow: from
+    A-index a over crossing a // 2 + 1 to B-index b = bp[a] ^ 1, under
+    crossing b // 2 + 1, on to A-index pinv[b] ^ 1."""
+    pinv = sorted(range(len(bp)), key=bp.__getitem__)
+    entries, a = [], 0
+    for _ in range(len(bp) // 2):
+        b = bp[a] ^ 1
+        entries += ((a // 2 + 1, OVER), (b // 2 + 1, UNDER))
+        a = pinv[b] ^ 1
+    if a != 0:
         raise StructureError("strand walk failed to close after 2k steps")
     return tuple(entries)
 
@@ -167,12 +174,12 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
         return []
     counts: dict[GaussCode, int] = {}
     canonical: dict[tuple, GaussCode] = {}    # walked entries -> canonical code
-    for match, weight, connected in representatives(k):
-        C, l, tad = trace_rows(match)
+    for bp, weight, connected in representatives(k):
+        C, l, tad = trace_rows(bp)
         keep = is_knot_shadow(k, C, l, connected)
         if action == "wick_ordered":
             keep &= ~tad
-        for row, w in zip(match[keep].tolist(), weight[keep].tolist()):
+        for row, w in zip(bp[keep].tolist(), weight[keep].tolist()):
             walked = _strand_walk(row)
             code = canonical.get(walked)
             if code is None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from triline import census
-from triline.census import (_ab_match, _census_rows, _row_cycle_counts, pairing_census,
+from triline.census import (_census_rows, _row_cycle_counts, pairing_census,
                             representatives, trace_rows)
 from triline.diagrams import Pairing, components_and_genus, enumerate_matchings, \
     is_tadpole
@@ -20,6 +20,14 @@ def reference_census(k):
         rep = components_and_genus(p)
         out[(rep.C, rep.l, rep.components == 1, is_tadpole(p))] += 1
     return dict(out)
+
+
+def leg_rows(bp: np.ndarray) -> np.ndarray:
+    """Leg involution rows of ab rows: A-index i is leg 2i, B-index j 2j + 1."""
+    match = np.empty((bp.shape[0], 2 * bp.shape[1]), dtype=np.int64)
+    match[:, 0::2] = 2 * bp + 1
+    match[:, 1::2] = 2 * np.argsort(bp, axis=1)
+    return match
 
 
 def _row_connected(vcol: np.ndarray, k: int) -> np.ndarray:
@@ -67,10 +75,10 @@ def test_census_equals_unreduced_fold_k5():
     # every one of the 10! labeled pairings traced with unit weight: the
     # representatives and their weights must give the same histogram
     unreduced = {}
-    for match in iter_matchings_batched(5):
-        ones = np.ones(match.shape[0], dtype=np.int64)
-        conn = _row_connected(match[:, 0::2] // 4, 5)
-        for key, n in _census_rows(match, ones, conn).items():
+    for bp in iter_matchings_batched(5):
+        ones = np.ones(bp.shape[0], dtype=np.int64)
+        conn = _row_connected(bp // 2, 5)
+        for key, n in _census_rows(bp, ones, conn).items():
             unreduced[key] = unreduced.get(key, 0) + n
     assert pairing_census(5) == unreduced
 
@@ -118,8 +126,8 @@ def test_results_independent_of_row_chunk(monkeypatch):
 def test_representatives_count_and_weight():
     for k, want in zip(range(1, 6), (2, 14, 122, 1_238, 14_306)):
         batches = list(representatives(k))
-        assert sum(w.size for _match, w, _conn in batches) == want
-        assert sum(int(w.sum()) for _match, w, _conn in batches) == \
+        assert sum(w.size for _bp, w, _conn in batches) == want
+        assert sum(int(w.sum()) for _bp, w, _conn in batches) == \
             math.factorial(2 * k)
 
 
@@ -127,21 +135,33 @@ def test_trace_rows_equal_reference_tracer():
     # all 15,682 representatives at k <= 5, row by row: the knot export
     # selects its shadows from trace_rows and the generator's flag alone
     for k in range(1, 6):
-        for match, _w, connected in representatives(k):
-            C, l, tad = trace_rows(match)
+        for bp, _w, connected in representatives(k):
+            C, l, tad = trace_rows(bp)
             got = zip(C.tolist(), l.tolist(), connected.tolist(), tad.tolist())
-            for row, key in zip(match.tolist(), got):
+            for row, key in zip(leg_rows(bp).tolist(), got):
                 p = Pairing(k, tuple(row))
                 rep = components_and_genus(p)
                 assert key == (rep.C, rep.l, rep.components == 1, is_tadpole(p))
 
 
+@pytest.mark.parametrize("k", [6, 7])
+def test_trace_rows_equal_reference_tracer_random_rows(k):
+    # the census traces orders 6 and 7 too; 400 random ab rows each
+    rng = np.random.default_rng(k)
+    bp = np.array([rng.permutation(2 * k) for _ in range(400)], dtype=np.int8)
+    C, l, tad = trace_rows(bp)
+    got = zip(C.tolist(), l.tolist(), tad.tolist())
+    for row, key in zip(leg_rows(bp).tolist(), got):
+        p = Pairing(k, tuple(row))
+        rep = components_and_genus(p)
+        assert key == (rep.C, rep.l, is_tadpole(p))
+
+
 def test_generator_openings_flag_is_connectivity():
     # one opening means every vertex was reached from vertex 0
     for k in range(1, 6):
-        for bp, _used, _t, _w, opened in census._leaves(k, 0, census._root(k)):
-            vcol = _ab_match(bp)[:, 0::2] // 4
-            np.testing.assert_array_equal(opened == 1, _row_connected(vcol, k))
+        for bp, _w, connected in representatives(k):
+            np.testing.assert_array_equal(connected, _row_connected(bp // 2, k))
 
 
 def test_row_cycle_counts_against_python():
@@ -159,7 +179,7 @@ def test_greek_loops_on_a_indices():
     # tau(i) = pinv[bp[i] ^ 1] ^ 1 is (match ^ 2)^2 on the A-legs 2i: each
     # cycle of match ^ 2 alternates A- and B-legs and meets tau in one cycle
     rng = np.random.default_rng(7)
-    random_k5 = _ab_match(np.array([rng.permutation(10) for _ in range(300)]))
+    random_k5 = leg_rows(np.array([rng.permutation(10) for _ in range(300)]))
     every_k3 = np.array([p.match for p in enumerate_matchings(3)])
     for match in (every_k3, random_k5):
         for row in match.tolist():
@@ -189,7 +209,9 @@ def test_census_cap():
 
 def test_batched_matchings_same_multiset_as_generator():
     for k in (1, 2, 3):
-        gen = sorted(p.match for p in enumerate_matchings(k, mode="ab_only"))
+        # an ab pairing's row: A-leg 2i meets B-leg 2 bp[i] + 1
+        gen = sorted(tuple(leg // 2 for leg in p.match[0::2])
+                     for p in enumerate_matchings(k, mode="ab_only"))
         bat = sorted(tuple(int(x) for x in row)
                      for block in iter_matchings_batched(k, mode="ab_only")
                      for row in block)

@@ -78,6 +78,16 @@ def test_knots_write_each_code_multiplicity_times(tmp_path):
     assert len(lines) == 2 + 16 + 336 + 12_480
 
 
+def test_knots_output_chunks_bounded(monkeypatch):
+    # codes repeat up to 61,440 times at k = 5; a chunk holds at most
+    # _RECORD_COPIES lines, and k = 4 has codes that need more than one
+    chunks = []
+    monkeypatch.setattr(cli, "_emit", lambda cfg, parts: chunks.extend(parts))
+    assert run(["knots", "--kmax", "4"]) == 0
+    assert len("".join(chunks).splitlines()) == 2 + 16 + 336 + 12_480
+    assert max(chunk.count("\n") for chunk in chunks) == 512 == cli._RECORD_COPIES
+
+
 def test_knots_cap_exit_2(capsys):
     assert run(["knots", "--kmax", "6"]) == 2
     assert "kmax must be <= 5" in capsys.readouterr().err

@@ -1,17 +1,15 @@
 """Unreduced batched pairing enumerator, the census's test oracle.
 
-Every labeled pairing of order k <= 5 once, as leg involution rows in
-numpy batches: ``ab_only`` gives the (2k)! ab pairings, ``all`` the
-(4k - 1)!! perfect matchings of the 4k legs.  The census traces one
-representative per symmetry class instead; tests fold these rows with unit
-weight to check it.
+Every labeled pairing of order k <= 5 once, in numpy batches: ``ab_only``
+gives the (2k)! ab pairings as the census's rows ``bp`` (the B-index paired
+with each A-index), ``all`` the (4k - 1)!! perfect matchings of the 4k legs
+as leg involution rows.  The census traces one representative per symmetry
+class instead; tests fold these rows with unit weight to check it.
 """
 import functools
 import itertools
 
 import numpy as np
-
-from triline.census import _ab_match
 
 KMAX = 5
 
@@ -43,7 +41,7 @@ def _all_match_table(n: int) -> np.ndarray:
 
 
 def iter_matchings_batched(k: int, mode: str = "ab_only"):
-    """Yield batches of involution rows covering each pairing exactly once."""
+    """Yield batches of rows covering each pairing exactly once."""
     if mode not in ("ab_only", "all"):
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= k <= KMAX:
@@ -57,7 +55,7 @@ def iter_matchings_batched(k: int, mode: str = "ab_only"):
             bp = np.empty((perms.shape[0], n2), dtype=np.int32)
             bp[:, 0] = first
             bp[:, 1:] = rest[perms]
-            yield _ab_match(bp)
+            yield bp
         return
     n = 4 * k
     if n <= 16:
