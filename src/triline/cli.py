@@ -1,5 +1,8 @@
 """Command-line front end: expansion runs, verification suites, knot export.
 
+Each command and each verify suite accepts only the flags its handler
+reads (``COMMANDS``, ``SUITES``), plus ``--config FILE``, whose
+``key = value`` lines count as flags placed before the command line's.
 Exit codes: 0 success, 1 verification failure, 2 usage/resource error.
 Machine output goes to --out (or stdout) and is byte-identical across
 thread counts; human summaries go to stderr.
@@ -12,7 +15,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,106 +31,82 @@ from .knots import KNOTS_KMAX, enumerate_knot_diagrams, knot_record
 from .oracle import (cached_oracle, entry_positions, gaussian_oracle_moment,
                      richardson_limit)
 from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, assemble_Z,
-                     census_table, connected_assemble, double_limit_check,
-                     extract_Flp, f_to_json, flp_to_json, formal_log,
-                     planar_loop_counts, series_to_json)
+                     census_table, check_action_order, connected_assemble,
+                     double_limit_check, extract_Flp, f_to_json, flp_to_json,
+                     formal_log, planar_loop_counts, series_to_json)
 
-SUITES = ("wick", "euler", "logcheck", "bound", "propagators")
 _RECORD_COPIES = 512    # knot record copies per chunk; k = 5 has 61,440 of one
 
-_CONFIG_KEYS = ("kmax", "N", "d", "eps", "convention", "action",
-                "threads", "out", "format")
+
+def _checked(parse, ok, want: str):
+    """An argparse ``type=``: ``parse`` the text, then require ``ok`` of it."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"want {want}, got {text!r}")
+    return convert
 
 
-@dataclass
-class RunConfig:
-    command: str
-    kmax: int = 3
-    N: tuple[int, ...] = (1, 2)
-    d: tuple[int, ...] = (1, 2)
-    eps: tuple[float, ...] = (0.1,)
-    convention: str = "action"
-    action: str = "standard"
-    threads: int = 1
-    out: str | None = None
-    format: str = "json"
-    suite: str | None = None
-
-    def validate(self) -> None:
-        if self.kmax < 0 or self.kmax > DEFAULT_KMAX:
-            raise ValidationError(f"kmax must be in 0..{DEFAULT_KMAX}")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
-        if not self.N or any(n < 1 for n in self.N):
-            raise ValidationError("N values must be >= 1")
-        if not self.d or any(v < 1 for v in self.d):
-            raise ValidationError("d values must be >= 1")
-        if not self.eps or any(e <= 0 for e in self.eps):
-            raise ValidationError("epsilon values must be > 0")
-        if self.convention not in CONVENTIONS:
-            raise ValidationError(f"unknown convention {self.convention!r}")
-        if self.action not in SERIES_ACTIONS:
-            raise ValidationError(f"unknown action {self.action!r}")
-        if self.format not in ("json", "csv"):
-            raise ValidationError(f"unknown format {self.format!r}")
-        if self.format != "json" and self.command != "expand":
-            raise ValidationError(f"only expand writes {self.format}")
+def _list_of(num):
+    return lambda text: tuple(num(tok) for tok in text.split(",") if tok.strip())
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValidationError(f"bad integer list {text!r}") from exc
+_POSITIVE_INTS = _checked(_list_of(int), lambda v: v and min(v) >= 1,
+                          "comma-separated integers >= 1")
+# every flag a command may read, as argparse options
+_FLAGS = {
+    "kmax": {"type": _checked(int, lambda k: 0 <= k <= DEFAULT_KMAX,
+                              f"an order in 0..{DEFAULT_KMAX}"), "default": 3},
+    "N": {"type": _POSITIVE_INTS, "default": (1, 2)},
+    "d": {"type": _POSITIVE_INTS, "default": (1, 2)},
+    # u_bound_check's regularized kernel needs eps <= 1/2
+    "eps": {"type": _checked(_list_of(float),
+                             lambda v: v and all(0 < e <= 0.5 for e in v),
+                             "comma-separated epsilons in (0, 0.5]"),
+            "default": (0.1,)},
+    "convention": {"choices": CONVENTIONS, "default": "action"},
+    "action": {"choices": SERIES_ACTIONS, "default": "standard"},
+    "threads": {"type": _checked(int, lambda n: n >= 1, "an integer >= 1"),
+                "default": 1},
+    "out": {"metavar": "FILE", "help": "machine output file (default stdout)"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+}
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValidationError(f"bad float list {text!r}") from exc
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ValidationError``, so ``main`` exits 2 on them."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _config_tokens(path: str, reads: tuple[str, ...]) -> list[str]:
+    """The ``key = value`` lines of ``path`` as ``--key=value`` tokens."""
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value")
+                raise ValidationError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
-    return out
+            if key not in reads:
+                raise ValidationError(
+                    f"{path}:{lineno}: this command does not read {key!r}")
+            tokens.append(f"--{key}={value}")
+    return tokens
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "suite", None):
-        cfg.suite = args.suite
-    file_values = load_config_file(args.config) if args.config else {}
-    converters = {
-        "kmax": int, "N": _parse_int_list, "d": _parse_int_list,
-        "eps": _parse_float_list, "convention": str, "action": str,
-        "threads": int, "out": str, "format": str,
-    }
-    for key, conv in converters.items():
-        if key in file_values:
-            setattr(cfg, key, conv(file_values[key]))
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, conv(flag))
-    cfg.validate()
-    return cfg
-
-
-def _emit(cfg: RunConfig, chunks) -> None:
+def _emit(args: argparse.Namespace, chunks) -> None:
     """Write the machine output, chunk by chunk, to --out or stdout."""
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -138,20 +116,21 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _expand_payload(cfg: RunConfig) -> dict:
-    censuses = census_table(cfg.kmax, threads=cfg.threads)
-    z = assemble_Z(censuses, cfg.convention, cfg.action)
+def _expand_payload(args: argparse.Namespace) -> dict:
+    check_action_order(args.action, args.kmax)
+    censuses = census_table(args.kmax, threads=args.threads)
+    z = assemble_Z(censuses, args.convention, args.action)
     lnz = formal_log(z)
     table = extract_Flp(lnz)
     f = F_of_g(table)
     payload = {
-        "z_series": series_to_json(z, cfg.convention),
-        "lnz_series": series_to_json(lnz, cfg.convention),
+        "z_series": series_to_json(z, args.convention),
+        "lnz_series": series_to_json(lnz, args.convention),
         "flp_table": flp_to_json(table),
         "f_of_g": f_to_json(f),
-        "action": cfg.action,
+        "action": args.action,
     }
-    if cfg.action == "standard":
+    if args.action == "standard":
         payload["planar_loop_counts"] = {
             str(k): v for k, v in planar_loop_counts(censuses).items()}
     return payload
@@ -176,25 +155,27 @@ def _payload_to_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def cmd_expand(cfg: RunConfig) -> int:
-    payload = _expand_payload(cfg)
-    if cfg.format == "json":
+def cmd_expand(args: argparse.Namespace) -> int:
+    """Assemble Z, ln Z, the genus/link table and F(g)."""
+    payload = _expand_payload(args)
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         text = _payload_to_csv(payload)
-    _emit(cfg, (text,))
+    _emit(args, (text,))
     _note(f"F(g) = {payload['f_of_g']['rendered']}   "
-          f"[convention={cfg.convention}, action={cfg.action}, kmax={cfg.kmax}]")
+          f"[convention={args.convention}, action={args.action}, kmax={args.kmax}]")
     return 0
 
 
-def cmd_knots(cfg: RunConfig) -> int:
-    if cfg.kmax > KNOTS_KMAX:
+def cmd_knots(args: argparse.Namespace) -> int:
+    """Export Gauss codes as JSON lines."""
+    if args.kmax > KNOTS_KMAX:
         raise ResourceLimitError(f"knots: kmax must be <= {KNOTS_KMAX}")
     records = []
     per_order = []
-    for k in range(1, cfg.kmax + 1):
-        codes = enumerate_knot_diagrams(k, cfg.convention, cfg.action)
+    for k in range(1, args.kmax + 1):
+        codes = enumerate_knot_diagrams(k, args.convention, args.action)
         codes.sort(key=lambda c: c[0].serialize())
         for code, mult, coeff in codes:
             line = json.dumps(knot_record(k, code, coeff), sort_keys=True,
@@ -202,8 +183,8 @@ def cmd_knots(cfg: RunConfig) -> int:
             records.append((line + "\n", mult))
         per_order.append(f"k={k}: {sum(m for _, m, _ in codes)} "
                          f"({len(codes)} codes)")
-    _emit(cfg, (line * min(_RECORD_COPIES, mult - i) for line, mult in records
-                for i in range(0, mult, _RECORD_COPIES)))
+    _emit(args, (line * min(_RECORD_COPIES, mult - i) for line, mult in records
+                 for i in range(0, mult, _RECORD_COPIES)))
     _note("knot diagrams per order: " + ", ".join(per_order))
     return 0
 
@@ -215,9 +196,9 @@ def _entry_pool(N: int, d: int) -> list[EntrySymbol]:
             for k in range(1, N + 1) for l in range(1, N + 1)]
 
 
-def _verify_propagators(cfg: RunConfig, failures: list[str]) -> None:
-    for N in cfg.N:
-        for d in cfg.d:
+def _verify_propagators(args: argparse.Namespace, failures: list[str]) -> None:
+    for N in args.N:
+        for d in args.d:
             symbols = _entry_pool(N, d)
             pos = entry_positions(symbols, N, d)     # validates the pool
             # no eps is reused, so the oracles bypass ``cached_oracle``
@@ -233,7 +214,7 @@ def _verify_propagators(cfg: RunConfig, failures: list[str]) -> None:
                             f"oracle {complex(got[i, j])} vs {want}")
 
 
-def _verify_wick(cfg: RunConfig, failures: list[str]) -> None:
+def _verify_wick(args: argparse.Namespace, failures: list[str]) -> None:
     for m in (2, 3):
         want = 1
         for j in range(2 * m - 1, 0, -2):
@@ -242,8 +223,8 @@ def _verify_wick(cfg: RunConfig, failures: list[str]) -> None:
         if got != want:
             failures.append(f"pair partition count 2m={2*m}: {got} != {want}")
     rng = random.Random(20260823)     # numpy.random would cost 5.6 MB RSS
-    for N in cfg.N:
-        for d in cfg.d:
+    for N in args.N:
+        for d in args.d:
             pool = _entry_pool(N, d)
             picks = [rng.choices(range(len(pool)), k=4) for _ in range(8)]
             picks += [rng.choices(range(len(pool)), k=6) for _ in range(4)]
@@ -271,11 +252,12 @@ def _verify_wick(cfg: RunConfig, failures: list[str]) -> None:
                 failures.append(f"E[:quartic:] N={N} d={d} = {val}")
 
 
-def _verify_euler(cfg: RunConfig, failure_records: list[dict],
-                  failures: list[str]) -> None:
-    # the reference tracer's weighted fold must equal the census
-    censuses = census_table(cfg.kmax, threads=cfg.threads)
-    for k in range(1, cfg.kmax + 1):
+def _verify_euler(args: argparse.Namespace, failures: list[str]) -> None:
+    # the reference tracer's weighted fold must equal the census; --out
+    # gets the pairings it could not trace
+    failure_records: list[dict] = []
+    censuses = census_table(args.kmax, threads=args.threads)
+    for k in range(1, args.kmax + 1):
         fold: Census = {}
         reps = 0
         for bp, weight, _connected in representatives(k):
@@ -298,10 +280,13 @@ def _verify_euler(cfg: RunConfig, failure_records: list[dict],
             failures.append(f"k={k}: weighted reference fold != census")
         _note(f"euler k={k}: {reps} representatives, "
               f"total weight {sum(fold.values())}")
+    if failure_records and args.out:
+        _emit(args, (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                     for r in failure_records))
 
 
-def _verify_logcheck(cfg: RunConfig, failures: list[str]) -> None:
-    censuses = census_table(cfg.kmax, threads=cfg.threads)
+def _verify_logcheck(args: argparse.Namespace, failures: list[str]) -> None:
+    censuses = census_table(args.kmax, threads=args.threads)
     for convention in CONVENTIONS:
         lnz = formal_log(assemble_Z(censuses, convention))
         conn = connected_assemble(censuses, convention)
@@ -314,88 +299,85 @@ def _verify_logcheck(cfg: RunConfig, failures: list[str]) -> None:
             failures.append(f"double limit [{convention}]: {exc}")
 
 
-def _verify_bound(cfg: RunConfig, failures: list[str]) -> None:
+def _verify_bound(args: argparse.Namespace, failures: list[str]) -> None:
     z_samples = [0.5, 1j, 0.7 - 0.3j, -1.1 + 0.4j]
-    for N in cfg.N:
-        for d in cfg.d:
+    for N in args.N:
+        for d in args.d:
             for seed in (1, 2):
                 fg = MatrixPair.random(N, d, seed=seed)
-                for eps in cfg.eps:
-                    kernel = RegKernel(min(eps, 0.5))
-                    if not u_bound_check(fg, z_samples, kernel=kernel):
+                for eps in args.eps:
+                    if not u_bound_check(fg, z_samples, kernel=RegKernel(eps)):
                         failures.append(f"bound N={N} d={d} eps={eps} seed={seed}")
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
-    failure_records: list[dict] = []
-    if cfg.suite == "propagators":
-        _verify_propagators(cfg, failures)
-    elif cfg.suite == "wick":
-        _verify_wick(cfg, failures)
-    elif cfg.suite == "euler":
-        _verify_euler(cfg, failure_records, failures)
-    elif cfg.suite == "logcheck":
-        _verify_logcheck(cfg, failures)
-    elif cfg.suite == "bound":
-        _verify_bound(cfg, failures)
-    else:
-        raise ValidationError(f"unknown suite {cfg.suite!r}")
+    args.check(args, failures)
+    for line in failures:
+        _note(f"FAIL {line}")
     if failures:
-        for line in failures:
-            _note(f"FAIL {line}")
-        if failure_records and cfg.out:
-            _emit(cfg, (json.dumps(r, sort_keys=True, separators=(",", ":"))
-                        + "\n" for r in failure_records))
-        _note(f"verify {cfg.suite}: {len(failures)} failure(s)")
+        _note(f"verify {args.suite}: {len(failures)} failure(s)")
         return 1
-    _note(f"verify {cfg.suite}: all checks passed")
+    _note(f"verify {args.suite}: all checks passed")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kmax", type=int, default=None)
-    parser.add_argument("--N", default=None, help="comma-separated N values")
-    parser.add_argument("--d", default=None, help="comma-separated d values")
-    parser.add_argument("--eps", default=None, help="comma-separated epsilons")
-    parser.add_argument("--convention", choices=CONVENTIONS, default=None)
-    parser.add_argument("--action", choices=SERIES_ACTIONS, default=None)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--config", default=None,
-                        help="key=value config file; flags take precedence")
+# command or verify suite -> (handler, the flags it reads besides --config)
+COMMANDS = {
+    "expand": (cmd_expand, ("kmax", "convention", "action", "threads", "out",
+                            "format")),
+    "knots": (cmd_knots, ("kmax", "convention", "action", "out")),
+}
+SUITES = {
+    "logcheck": (_verify_logcheck, ("kmax", "threads")),
+    "euler": (_verify_euler, ("kmax", "threads", "out")),
+    "wick": (_verify_wick, ("N", "d")),
+    "propagators": (_verify_propagators, ("N", "d")),
+    "bound": (_verify_bound, ("N", "d", "eps")),
+}
+
+
+def _add_flags(parser, reads: tuple[str, ...], **defaults) -> None:
+    for flag in reads:
+        parser.add_argument(f"--{flag}", **_FLAGS[flag])
+    parser.add_argument("--config", metavar="FILE",
+                        help="key = value file; command-line flags take precedence")
+    parser.set_defaults(reads=reads, **defaults)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triline",
         description="Exact perturbative expansion of the two-family quartic "
                     "matrix model: series, diagram census, knot-diagram export.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_expand = sub.add_parser("expand", help="assemble Z, ln Z, the genus/link "
-                                             "table, and F(g)")
-    _add_common(p_expand)
-    p_verify = sub.add_parser("verify", help="run an invariant suite")
-    p_verify.add_argument("suite", choices=SUITES)
-    _add_common(p_verify)
-    p_knots = sub.add_parser("knots", help="export Gauss codes as JSON lines")
-    _add_common(p_knots)
+    for name, (handler, reads) in COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=handler.__doc__), reads,
+                   handler=handler)
+    verify = sub.add_parser("verify", help="Run an invariant suite.")
+    suites = verify.add_subparsers(dest="suite", required=True)
+    for name, (check, reads) in SUITES.items():
+        _add_flags(suites.add_parser(name), reads, handler=cmd_verify,
+                   check=check)
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
     parser = make_parser()
     args = parser.parse_args(argv)
+    if args.config:
+        # the file's flags go after the command (and suite) words, before
+        # the command line's flags, which therefore win
+        head = 2 if args.command == "verify" else 1
+        args = parser.parse_args(
+            argv[:head] + _config_tokens(args.config, args.reads) + argv[head:])
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        cfg = build_config(args)
-        if cfg.command == "expand":
-            return cmd_expand(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "knots":
-            return cmd_knots(cfg)
-        raise ValidationError(f"unknown command {cfg.command!r}")
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return args.handler(args)
     except (ValidationError, ResourceLimitError, OSError) as exc:
         _note(f"error: {exc}")
         return 2

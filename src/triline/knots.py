@@ -41,14 +41,13 @@ class GaussCode:
     entries: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
-        seen: dict[int, set[str]] = {}
+        seen: dict[int, str] = {}     # crossing id -> its passages in order
         for cid, passage in self.entries:
             if passage not in (OVER, UNDER) or cid < 1:
                 raise ValidationError(f"bad code entry ({cid}, {passage})")
-            seen.setdefault(cid, set()).add(passage)
+            seen[cid] = seen.get(cid, "") + passage
         for cid, passages in seen.items():
-            count = sum(1 for c, _ in self.entries if c == cid)
-            if count != 2 or passages != {OVER, UNDER}:
+            if passages not in (OVER + UNDER, UNDER + OVER):
                 raise ValidationError(
                     f"crossing {cid} must appear exactly once over and once under")
 

@@ -215,6 +215,13 @@ def _census_terms(k: int, census: Census, convention: str, connected_only: bool,
     return out
 
 
+def check_action_order(action: str, kmax: int) -> None:
+    """Refuse an order the action cannot assemble, before any census work."""
+    if action == "symmetric" and kmax > SYMMETRIC_KMAX:
+        raise ResourceLimitError(
+            f"symmetric-action assembly limited to k <= {SYMMETRIC_KMAX}")
+
+
 def _symmetric_terms(k: int, convention: str,
                      connected_only: bool) -> dict[Key, GaussRational]:
     """Order-k terms under the symmetric quadratic form, all pairings.
@@ -223,9 +230,7 @@ def _symmetric_terms(k: int, convention: str,
     inverse of [[2,1],[1,2]] times i); the product over the 2k propagators
     replaces the plain i^{2k} of the standard action.
     """
-    if k > SYMMETRIC_KMAX:
-        raise ResourceLimitError(
-            f"symmetric-action assembly limited to k <= {SYMMETRIC_KMAX}")
+    check_action_order("symmetric", k)
     pref = _vertex_prefactor(k, convention)
     # pull out the i^{2k} the prefactor already carries
     pref = pref * GaussRational.i_power(-2 * k % 4)

@@ -1,6 +1,7 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 
 import triline
 from triline import cli
-from triline.cli import RunConfig, build_config, load_config_file, main, make_parser
+from triline.cli import COMMANDS, SUITES, main, make_parser
 from triline.errors import InvariantViolation, ValidationError
 from triline.knots import enumerate_knot_diagrams
 
@@ -120,13 +121,14 @@ def test_verify_suites_pass():
     assert run(["verify", "logcheck", "--kmax", "2"]) == 0
     assert run(["verify", "euler", "--kmax", "2"]) == 0
     assert run(["verify", "propagators", "--N", "1", "--d", "1"]) == 0
-    assert run(["verify", "bound", "--N", "2", "--d", "1", "--eps", "0.2"]) == 0
+    assert run(["verify", "bound", "--N", "2", "--d", "1", "--eps", "0.2,0.5"]) == 0
 
 
-def test_verify_unknown_suite_rejected():
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", "nonsense"])
-    assert exc.value.code == 2
+def test_verify_unknown_suite_rejected(capsys):
+    assert run(["verify", "nonsense"]) == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+    with pytest.raises(ValidationError):
+        make_parser().parse_args(["verify", "nonsense"])
 
 
 def test_config_file_precedence(tmp_path):
@@ -142,17 +144,21 @@ def test_config_file_precedence(tmp_path):
     assert payload["z_series"]["convention"] == "paper_series"
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("frobnicate = 1\n")
+    bad.write_text("# run settings\nkmax = 1\nfrobnicate = 1\n")
     assert run(["expand", "--config", str(bad)]) == 2
-    with pytest.raises(ValidationError):
-        load_config_file(str(bad))
+    assert f"{bad}:3: this command does not read 'frobnicate'" \
+        in capsys.readouterr().err
+    bad.write_text("kmax 1\n")
+    assert run(["expand", "--config", str(bad)]) == 2
+    assert f"{bad}:1: expected key = value" in capsys.readouterr().err
 
 
-def test_csv_refused_outside_expand(tmp_path):
-    # only expand has a csv writer; elsewhere the flag would be ignored
+def test_csv_refused_outside_expand(tmp_path, capsys):
+    # only expand has a csv writer, so only expand has --format
     assert run(["knots", "--kmax", "1", "--format", "csv"]) == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
     cfg_file = tmp_path / "csv.cfg"
     cfg_file.write_text("format = csv\n")
     assert run(["knots", "--kmax", "1", "--config", str(cfg_file)]) == 2
@@ -161,25 +167,122 @@ def test_csv_refused_outside_expand(tmp_path):
 
 
 def test_run_config_validation():
-    cfg = RunConfig(command="expand", kmax=9)
-    with pytest.raises(ValidationError):
-        cfg.validate()
-    with pytest.raises(ValidationError):
-        RunConfig(command="expand", threads=0).validate()
-    with pytest.raises(ValidationError):
-        RunConfig(command="expand", eps=(0.0,)).validate()
-    with pytest.raises(ValidationError):
-        RunConfig(command="expand", format="xml").validate()
+    # range checks are argparse converters: a usage error, exit 2
+    for argv in (["expand", "--kmax", "9"], ["expand", "--kmax", "-1"],
+                 ["expand", "--kmax", "x"], ["expand", "--threads", "0"],
+                 ["verify", "bound", "--eps", "0.0"],
+                 ["verify", "bound", "--eps", "0.7"],    # u_bound_check's limit
+                 ["verify", "bound", "--eps", "0.1,-1"],
+                 ["verify", "wick", "--N", "0"], ["verify", "wick", "--d", ","],
+                 ["expand", "--format", "xml"],
+                 ["expand", "--convention", "other"]):
+        with pytest.raises(ValidationError):
+            make_parser().parse_args(argv)
+        assert run(argv) == 2
 
 
 def test_parser_flags_exist():
     parser = make_parser()
-    args = parser.parse_args(["expand", "--kmax", "3", "--N", "1,2", "--d", "1",
-                              "--eps", "0.1,0.01", "--convention", "action",
+    args = parser.parse_args(["expand", "--kmax", "3", "--convention", "action",
                               "--action", "standard", "--threads", "2",
                               "--out", "x.json", "--format", "json"])
-    cfg = build_config(args)
-    assert cfg.N == (1, 2) and cfg.eps == (0.1, 0.01) and cfg.threads == 2
+    assert (args.kmax, args.threads, args.out) == (3, 2, "x.json")
+    args = parser.parse_args(["verify", "bound", "--N", "1,2", "--d", "1",
+                              "--eps", "0.1,0.01"])
+    assert args.N == (1, 2) and args.d == (1,) and args.eps == (0.1, 0.01)
+    args = parser.parse_args(["verify", "logcheck"])
+    assert (args.kmax, args.threads) == (3, 1)
+
+
+_FLAG_VALUES = {"kmax": "1", "N": "1", "d": "1", "eps": "0.1",
+                "convention": "action", "action": "standard", "threads": "1",
+                "format": "json"}
+_UNREAD = [(name, flag) for name, (_, reads) in {**COMMANDS, **SUITES}.items()
+           for flag in (*_FLAG_VALUES, "out") if flag not in reads]
+
+
+def test_flag_table_size():
+    # each command or suite reads its own flags, and --config: 29 of the
+    # 7 x 10 (command, flag) pairs
+    tables = {**COMMANDS, **SUITES}
+    assert len(tables) == 7 and len(_FLAG_VALUES) + 2 == 10
+    assert sum(len(reads) + 1 for _, reads in tables.values()) == 29
+    assert len(_UNREAD) == 70 - 29
+
+
+@pytest.mark.parametrize("name,flag", _UNREAD)
+def test_unread_flags_refused(name, flag, tmp_path, capsys):
+    words = ["verify", name] if name in SUITES else [name]
+    reads = {**COMMANDS, **SUITES}[name][1]
+    out = tmp_path / "out.txt"
+    value = str(out) if flag == "out" else _FLAG_VALUES[flag]
+    tail = ["--out", str(out)] if "out" in reads else []
+    assert run(words + [f"--{flag}", value] + tail) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    assert run(words + ["--config", str(cfg)] + tail) == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: --{flag} " in captured.err
+    assert f"{cfg}:1: this command does not read {flag!r}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+# the benchmark's argvs (perfbench/workloads.py), copied
+_BENCH_ARGVS = [
+    ("expand", "--kmax", "5", "--threads", "1", "--out", "{out}/expand.json"),
+    ("verify", "logcheck", "--kmax", "5", "--threads", "2"),
+    ("verify", "euler", "--kmax", "4"),
+    ("verify", "wick", "--N", "4", "--d", "3"),
+    ("verify", "propagators", "--N", "5", "--d", "3"),
+    ("knots", "--kmax", "4", "--out", "{out}/knots.jsonl"),
+]
+
+
+def test_benchmark_argvs_reach_handlers(monkeypatch, tmp_path):
+    seen = []
+
+    def stub(args):
+        seen.append(args)
+        return 0
+
+    for name, (_, reads) in COMMANDS.items():
+        monkeypatch.setitem(COMMANDS, name, (stub, reads))
+    for name, (_, reads) in SUITES.items():
+        monkeypatch.setitem(SUITES, name, (lambda args, failures: stub(args),
+                                           reads))
+    for argv in _BENCH_ARGVS:
+        assert run([a.format(out=tmp_path) for a in argv]) == 0
+    got = [{k: getattr(a, k) for k in ("kmax", "threads", "N", "d", "out")
+            if hasattr(a, k)} for a in seen]
+    assert got == [
+        {"kmax": 5, "threads": 1, "out": f"{tmp_path}/expand.json"},
+        {"kmax": 5, "threads": 2},
+        {"kmax": 4, "threads": 1, "out": None},
+        {"N": (4,), "d": (3,)},
+        {"N": (5,), "d": (3,)},
+        {"kmax": 4, "out": f"{tmp_path}/knots.jsonl"},
+    ]
+
+
+def test_readme_cli_examples_parse():
+    readme = Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]
+    examples = [shlex.split(line, comments=True)
+                for line in block.split("```", 1)[0].splitlines()
+                if line.startswith("triline ")]
+    assert len(examples) >= 10
+    parser = make_parser()
+    for words in examples:
+        parser.parse_args(words[1:])
+
+
+def test_symmetric_cap_before_census(monkeypatch, capsys):
+    def no_census(kmax, threads=1):
+        raise AssertionError("census built")
+
+    monkeypatch.setattr(cli, "census_table", no_census)
+    assert run(["expand", "--action", "symmetric", "--kmax", "4"]) == 2
+    assert "symmetric-action assembly limited to k <= 3" in capsys.readouterr().err
 
 
 def test_wick_ordered_expand(tmp_path):
