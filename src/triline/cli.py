@@ -27,7 +27,8 @@ from .errors import (InvariantViolation, ResourceLimitError, StructureError,
 from .gaussian import (EntrySymbol, RegKernel, iter_pair_partitions,
                        propagator, quartic_monomials, u_bound_check,
                        wick_moment, wick_order_quartic)
-from .knots import KNOTS_KMAX, enumerate_knot_diagrams, knot_record
+from .knots import (KNOT_ACTIONS, KNOTS_KMAX, enumerate_knot_diagrams,
+                    knot_record)
 from .oracle import (cached_oracle, entry_positions, gaussian_oracle_moment,
                      richardson_limit)
 from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, assemble_Z,
@@ -83,6 +84,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValidationError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # each parser refuses what it does not read: the usage is the command's
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
 
 def _config_tokens(path: str, reads: tuple[str, ...]) -> list[str]:
@@ -335,11 +343,14 @@ SUITES = {
     "propagators": (_verify_propagators, ("N", "d")),
     "bound": (_verify_bound, ("N", "d", "eps")),
 }
+# (command, flag) -> options narrowing that flag's _FLAGS entry
+_NARROWED = {("knots", "action"): {"choices": KNOT_ACTIONS}}
 
 
-def _add_flags(parser, reads: tuple[str, ...], **defaults) -> None:
+def _add_flags(parser, name: str, reads: tuple[str, ...], **defaults) -> None:
     for flag in reads:
-        parser.add_argument(f"--{flag}", **_FLAGS[flag])
+        options = {**_FLAGS[flag], **_NARROWED.get((name, flag), {})}
+        parser.add_argument(f"--{flag}", **options)
     parser.add_argument("--config", metavar="FILE",
                         help="key = value file; command-line flags take precedence")
     parser.set_defaults(reads=reads, **defaults)
@@ -352,12 +363,12 @@ def make_parser() -> argparse.ArgumentParser:
                     "matrix model: series, diagram census, knot-diagram export.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, reads) in COMMANDS.items():
-        _add_flags(sub.add_parser(name, help=handler.__doc__), reads,
+        _add_flags(sub.add_parser(name, help=handler.__doc__), name, reads,
                    handler=handler)
     verify = sub.add_parser("verify", help="Run an invariant suite.")
     suites = verify.add_subparsers(dest="suite", required=True)
     for name, (check, reads) in SUITES.items():
-        _add_flags(suites.add_parser(name), reads, handler=cmd_verify,
+        _add_flags(suites.add_parser(name), name, reads, handler=cmd_verify,
                    check=check)
     return parser
 

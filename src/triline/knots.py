@@ -152,6 +152,7 @@ def canonical_code(c: GaussCode) -> GaussCode:
 
 TREFOIL = GaussCode.parse("O1U2O3U1O2U3")
 KNOTS_KMAX = 5    # one line per labeled pairing: k = 6 would be 51,440,640
+KNOT_ACTIONS = ("standard", "wick_ordered")    # the actions with a knot reading
 
 
 def enumerate_knot_diagrams(k: int, convention: str = "action",
@@ -163,7 +164,7 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
     is the g^k term of F_{1,0}.  ``wick_ordered`` drops tadpole pairings.
     Returns a list of (GaussCode, multiplicity, GaussRational).
     """
-    if action not in ("standard", "wick_ordered"):
+    if action not in KNOT_ACTIONS:
         raise ValidationError(
             "knot export is defined for the standard quartic; the symmetric "
             "quadratic form mixes in same-family pairings with no knot reading")
