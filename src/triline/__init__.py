@@ -3,18 +3,19 @@
 Modules, bottom up: :mod:`cosbasis` (real coordinates of Hermitian matrix
 pairs); :mod:`gaussian` (the regularized weight, T-transforms, propagators,
 Wick sums) with the numeric oracle :mod:`oracle`; :mod:`diagrams`
-(pairings, triple-line loops, genus) with the parallel census
-:mod:`census`; :mod:`series` (exact Z, ln Z, F_{l,p} and F(g),
-cross-checked by :mod:`mixed`); :mod:`knots` (Gauss-code export); and
-:mod:`cli`.  Each name is imported from its own module, e.g.
-``from triline.series import F_of_g``: the package re-exports nothing, so
-``import triline`` alone loads neither numpy nor any module.
+(pairings, triple-line loops, genus) with the frontier census
+:mod:`census` and the representative rows :mod:`rows`; :mod:`series`
+(exact Z, ln Z, F_{l,p} and F(g), cross-checked by :mod:`mixed`);
+:mod:`knots` (Gauss-code export); and :mod:`cli`.  Each name is imported
+from its own module, e.g. ``from triline.series import F_of_g``: the
+package re-exports nothing, so ``import triline`` alone loads neither numpy
+nor any module.
 
 Every ``triline.*`` import runs this file first, which pins numpy's BLAS
 to one thread per process before any module loads numpy: the only BLAS
 work is the oracle's small covariance algebra, and a BLAS thread pool costs
-CPU time in every process, census pool workers included, that this work
-never wins back.  A thread count already set in the environment is kept.
+CPU time in every process that this work never wins back.  A thread count
+already set in the environment is kept.
 """
 
 import os as _os

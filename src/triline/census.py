@@ -1,101 +1,55 @@
-"""Vectorized pairing census over symmetry-reduced representatives.
+"""Pairing census by a transfer matrix over the generator's open ends.
 
 The census of order k is the exact histogram {(C, l, connected, tadpole):
-count} over the (2k)! ab pairings.  Relabeling vertices and giving one
-vertex a half-turn (A B A B maps to itself) leave the key unchanged, so the
-census traces one representative per class of labeled pairings, with an
-exact integer weight (isomorph-free generation; McKay, J. Algorithms 1998).
+count} over the (2k)! ab pairings.  It makes the choices of the row
+generator in ``rows``, with the same weights: pair A-index a = 0, 1, ...
+with an unpaired B-index of a touched vertex (weight 1) or with B-index 2t
+of fresh vertex t (weight 2(k - t)), touching vertex t first when every
+touched A-index is paired.  But the future of a partial row depends only on
+how its open ends are joined, so partial rows with the same open ends merge
+and the census never holds a row (a transfer-matrix enumeration, as for
+meanders, Jensen, J. Phys. A 33, 2000, and knots, Jacobsen and Zinn-Justin,
+J. Knot Theory Ramif. 11, 2002).  At k = 7 it holds at most 781 states,
+against the 2,737,562 rows the generator yields.
 
-A representative is a row ``bp``: the B-index paired with each A-index.
-Vertex v carries A-indices 2v, 2v+1 (positions 0, 2) and B-indices 2v, 2v+1
-(positions 1, 3); vertices are numbered in the order they are touched.
-A-index a = 0, 1, ... is always the lowest unpaired one on a touched vertex:
+Three graphs on the 4k index nodes carry the loops.  G1 is the pairing
+edges A x - B bp[x] plus B y - A y; G2 the pairing edges plus B y - A y^1;
+G3 the pairing edges plus the mates A x - A x^1 and B y - B y^1.  Once bp is
+complete each is 2-regular, C = cycles(G1) + cycles(G2) and l = cycles(G3):
+these are ``rows.trace_rows``' cycles(bp) + cycles(bp ^ 1) and
+cycles(tau) / 2.
 
-* if every touched A-index is paired, touch vertex t (weight 1: a labeled
-  pairing starts its next component at a fixed vertex and orientation);
-* pair a with an unpaired B-index of a touched vertex (weight 1), or with
-  B-index 2t, position 1 of fresh vertex t, touching it; relabeling and
-  half-turns map the 2(k - t) B-indices of the untouched vertices onto it,
-  so it weighs 2(k - t).
+With a A-indices paired and t vertices touched, the n = 2t - a open
+A-indices a..2t-1 are A_0..A_{n-1}.  In G1 and G2 every open path joins an
+open B-index to an open A-index, so the open B-index whose G1 path ends at
+A_i is B_i.  A state's key is
 
-A weight, the product of its choices' weights, counts the labeled pairings
-the representative stands for.  Weights are summed as exact int64; those of
-an order must total (2k)!, or the census raises ``InvariantViolation``.
-``representatives`` streams the same rows, weights and connectivity flags,
-untraced: the knot export traces them with ``trace_rows``, and only
-``verify euler`` widens them to leg involutions for the reference tracer.
+* M2: M2[i] is the label of the A-index at the end of B_i's G2 path;
+* M3: the G3 matching of the 2n open ends, A_i numbered 2i and B_i 2i+1;
+* bv: bv[i] is B_i's vertex less vertex a >> 1, or -1 below it, where no
+  open A-index is left to make a tadpole with it.
 
-Tracing shares no algorithm with the reference tracer in ``diagrams`` and
-never widens a row to the 4k legs.  Give A-index x row index alpha(x) and
-column index beta(x); around the vertex trace A B A B, B-index y then has
-row beta(y) and column alpha(y ^ 1).  Pairing x with bp[x] sets beta(x) =
-beta(bp[x]) and alpha(x) = alpha(bp[x] ^ 1), so the Latin loops number C =
-cycles(bp) + cycles(bp ^ 1).  A Greek loop runs from A-index x to bp[x],
-across its vertex to bp[x] ^ 1, to that one's partner and across again:
-tau(x) = pinv[bp[x] ^ 1] ^ 1, pinv inverting bp.  It meets the A-indices
-once per direction, so l = cycles(tau) / 2.  A tadpole pairs an A-index
-with a B-index of its own vertex: bp[x] >> 1 == x >> 1.  Cycles are counted
-by pointer-doubling minimum propagation over the raveled batch, with flat
-gathers.  Connectivity comes from the generator.  It opens a vertex when
-every touched A-index is paired; then every touched B-index is paired too,
-so each opening after the first starts a new component, and a row is
-connected iff it has one opening.  The rule holds for the generator's rows
-only, so the tracer takes the flag as an argument.
-
-With ``threads == 1`` the census expands the root state level by level in
-numpy, ``_ROW_CHUNK`` rows at a time, and traces the representatives as
-they come, so no order holds all of them at once; ``representatives``
-streams the same way.  The peak is the chunk size times the row width,
-summed over levels, so rows take the narrowest dtypes that hold their
-values (k = 7: 35.3 MB, not 40.7; halving the chunk would cost 5-10% of
-its time in per-batch overhead).  With ``threads > 1`` it runs a process
-pool at any k; the generator states after the first ``_SPLIT_DEPTH``
-choices are the tasks (at least two for any k), each streamed alike.  Task
-histograms are merged in task order, and the histogram holds exact
-integers, so any ``threads`` gives the same census.  A pool costs more to
-start than orders below ``series.POOL_MIN_K`` take serially, so
-``series.census_table`` passes ``threads`` on only from that order.
+Untouched vertices stay implicit until a choice touches one and appends its
+four ends.  Pairing A_0 with B_j closes a G1 cycle iff j = 0 and a G2 cycle
+iff M2[j] = 0; otherwise the two paths join.  It closes a G3 cycle iff M3
+matches the two ends; otherwise their partners are matched.  It makes a
+tadpole iff bv[j] = 0.  A state's value maps (closed C, closed l,
+min(openings, 2), tadpole) to an exact weight: each opening after the first
+starts a new component, so one opening means connected.  States with equal
+keys merge by adding values.  After the last A-index one state is left, and
+its value is the census.  The weights of an order must total (2k)!, or the
+census raises ``InvariantViolation``.
 """
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .diagrams import DEFAULT_KMAX
-from .errors import InvariantViolation, ResourceLimitError, ValidationError
-
-_ROW_CHUNK = 4_096       # rows expanded or traced per numpy batch
-_SPLIT_DEPTH = 3         # generator choices fixed per pool task
+from .errors import InvariantViolation, ResourceLimitError
 
 Census = dict[tuple[int, int, bool, bool], int]
-State = tuple[np.ndarray, ...]   # bp, used (2k-bit mask), t, w, opened
-
-
-def _row_cycle_counts(perm: np.ndarray) -> np.ndarray:
-    """Cycle count per row of a batch of permutations of at most 127 points.
-
-    Pointer doubling on the raveled batch: a step index is the row-local
-    target plus the row's offset, so each round is two flat ``take`` gathers.
-    """
-    rows, n = perm.shape
-    offsets = np.arange(0, rows * n, n,
-                        dtype=np.int32 if perm.size < 2 ** 31 else np.int64)
-    step = (perm + offsets[:, None]).ravel()
-    ident = np.arange(n, dtype=np.int8)
-    lab = np.tile(ident, rows)
-    for _ in range((n - 1).bit_length()):
-        np.minimum(lab, lab.take(step), out=lab)
-        step = step.take(step)
-    return (lab.reshape(rows, n) == ident).sum(axis=1)
-
-
-def trace_rows(bp: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Latin loops C, Greek loops l and tadpole flag per ab row."""
-    C = _row_cycle_counts(bp) + _row_cycle_counts(bp ^ 1)
-    tau = np.take_along_axis(bp.argsort(axis=1), bp ^ 1, axis=1) ^ 1
-    tad = (bp >> 1 == np.arange(bp.shape[1]) >> 1).any(axis=1)
-    return C, _row_cycle_counts(tau) // 2, tad
+Key = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]   # M2, M3, bv
+Value = dict[tuple[int, int, int, bool], int]   # (C, l, openings, tad) -> weight
 
 
 def is_knot_shadow(k: int, C, l, connected):
@@ -103,108 +57,72 @@ def is_knot_shadow(k: int, C, l, connected):
     return connected & (l == 1) & (C == k + 2)
 
 
-def _census_rows(bp: np.ndarray, weight: np.ndarray,
-                 connected: np.ndarray) -> Census:
-    """Trace ab rows and histogram (C, l, conn, tad) by weight;
-    ``connected`` is the caller's connectivity flag per row."""
-    C, lgr, tad = trace_rows(bp)
-    base_l = bp.shape[1] + 2
-    key = ((C * base_l + lgr) * 2 + connected) * 2 + tad
-    counts = np.zeros(int(key.max()) + 1, dtype=np.int64)
-    np.add.at(counts, key, weight)
-    out: Census = {}
-    for packed in np.nonzero(counts)[0]:
-        rest = packed >> 2
-        out[(int(rest // base_l), int(rest % base_l), bool(packed & 2),
-             bool(packed & 1))] = int(counts[packed])
-    return out
+def _touch(key: Key, rel: int) -> Key:
+    """Append a touched vertex's ends A_n, A_n+1, B_n, B_n+1; its vertex is
+    ``rel`` past vertex a >> 1."""
+    m2, m3, bv = key
+    n, e = len(m2), 2 * len(m2)
+    return m2 + (n + 1, n), m3 + (e + 2, e + 3, e, e + 1), bv + (rel, rel)
 
 
-def _merge(into: Census, part: Census) -> None:
-    for key, cnt in part.items():
-        into[key] = into.get(key, 0) + cnt
+def _join(key: Key, j: int, shift: int) -> tuple[int, bool, bool, Key]:
+    """Pair A_0 with B_j: (Latin loops closed, Greek loop closed, tadpole,
+    the key with both ends dropped and vertex a >> 1 moved by ``shift``)."""
+    m2, m3, bv = list(key[0]), list(key[1]), key[2]
+    p = m2.index(0)                   # B_p's G2 path ends at A_0
+    latin = (j == 0) + (p == j)
+    if p != j:
+        m2[p] = m2[j]
+    u, v = m3[0], m3[2 * j + 1]
+    greek = u == 2 * j + 1
+    if not greek:
+        m3[u], m3[v] = v, u
+    # B_0's G1 path now ends at A_j, so B_0 takes slot j; A_0 and B_j go
+    src = [0 if i == j else i for i in range(1, len(m2))]
+    relabel = {2 * i: 2 * i - 2 for i in range(1, len(m2))}
+    relabel.update((2 * s + 1, 2 * i + 1) for i, s in enumerate(src))
+    new_m3 = []
+    for i, s in enumerate(src):
+        new_m3 += relabel[m3[2 * i + 2]], relabel[m3[2 * s + 1]]
+    return latin, greek, bv[j] == 0, (
+        tuple(m2[s] - 1 for s in src), tuple(new_m3),
+        tuple(max(bv[s] - shift, -1) for s in src))
 
 
-def _root(k: int) -> State:
-    """The generator's start: nothing paired or touched, weight 1."""
-    zero = np.zeros(1, dtype=np.int8)
-    return (np.zeros((1, 2 * k), dtype=np.int8), np.zeros(1, dtype=np.int16),
-            zero, np.ones(1, dtype=np.int64), zero)
+def _frontier(k: int) -> Census:
+    """The census of order k, unchecked."""
+    states: dict[Key, Value] = {((), (), ()): {(0, 0, 0, False): 1}}
+    for a in range(2 * k):
+        shift = a & 1                        # vertex a >> 1 moves on after odd a
+        merged: dict[Key, Value] = {}
+        for key, value in states.items():
+            t = (a + len(key[0])) >> 1       # touched vertices
+            opens = not key[0]               # every touched A-index is paired
+            if opens:
+                key = _touch(key, 0)
+                t += 1
+            moves = [(_join(key, j, shift), 1) for j in range(len(key[0]))]
+            if t < k:
+                moves.append((_join(_touch(key, t - (a >> 1)), len(key[0]),
+                                    shift), 2 * (k - t)))
+            for (latin, greek, tadpole, child), mult in moves:
+                into = merged.setdefault(child, {})
+                for (C, l, op, tad), w in value.items():
+                    out = (C + latin, l + greek, min(op + opens, 2),
+                           tad or tadpole)
+                    into[out] = into.get(out, 0) + w * mult
+        states = merged
+    (value,) = states.values()
+    return {(C, l, op == 1, tad): w for (C, l, op, tad), w in value.items()}
 
 
-def _children(k: int, a: int, state: State) -> State:
-    """Pair A-index a in every allowed way, children in parent row order."""
-    bp, used, t, w, opened = state
-    opening = a == 2 * t      # no touched A-index left: touch vertex t
-    t = t + opening
-    opened = opened + opening
-    j = np.arange(2 * k, dtype=used.dtype)
-    rows, cols = np.nonzero((j <= 2 * t[:, None]) & ((used[:, None] >> j) & 1 == 0))
-    t = t[rows]
-    fresh = cols == 2 * t
-    child = bp[rows]
-    child[:, a] = cols
-    return (child, used[rows] | (1 << j)[cols], t + fresh,
-            w[rows] * np.where(fresh, 2 * (k - t), 1), opened[rows])
-
-
-def _leaves(k: int, a: int, state: State):
-    """(bp, weight, connected) batches of the rows below ``state``, depth a."""
-    if a == 2 * k:
-        bp, _used, _t, w, opened = state
-        yield bp, w, opened == 1
-        return
-    child = _children(k, a, state)
-    for lo in range(0, child[0].shape[0], _ROW_CHUNK):
-        yield from _leaves(k, a + 1, tuple(x[lo:lo + _ROW_CHUNK] for x in child))
-
-
-def _subtree_census(args) -> Census:
-    k, a, state = args
-    total: Census = {}
-    for batch in _leaves(k, a, state):
-        _merge(total, _census_rows(*batch))
-    return total
-
-
-def _subtree_tasks(k: int) -> list:
-    """One task per state after the first choices; the largest subtree, all
-    fresh choices, is generated last, so the tasks run in reverse order."""
-    depth = min(_SPLIT_DEPTH, 2 * k)
-    state = _root(k)
-    for a in range(depth):
-        state = _children(k, a, state)
-    return [(k, depth, tuple(x[i:i + 1] for x in state))
-            for i in reversed(range(state[0].shape[0]))]
-
-
-def representatives(k: int):
-    """Yield (ab rows, int64 weights, connected) batches."""
-    yield from _leaves(k, 0, _root(k))
-
-
-def pairing_census(k: int, threads: int = 1) -> Census:
-    """Exact histogram {(C, l, connected, tadpole): count} over ab pairings.
-
-    Deterministic and independent of ``threads``; the parallel fold merges
-    per-task integer histograms in a fixed task order.
-    """
+def pairing_census(k: int) -> Census:
+    """Exact histogram {(C, l, connected, tadpole): count} over ab pairings."""
     if not 1 <= k <= DEFAULT_KMAX:
         raise ResourceLimitError(f"k={k} outside enumeration range 1..{DEFAULT_KMAX}")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    if threads == 1:
-        total = _subtree_census((k, 0, _root(k)))
-    else:
-        # imported here, so that serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        total = {}
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_subtree_census, _subtree_tasks(k), chunksize=1):
-                _merge(total, part)
+    total = _frontier(k)
     if sum(total.values()) != math.factorial(2 * k):
         raise InvariantViolation(
             f"k={k}: census weights sum to {sum(total.values())}, "
             f"not (2k)! = {math.factorial(2 * k)}")
     return total
-

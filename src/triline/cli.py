@@ -4,8 +4,12 @@ Each command and each verify suite accepts only the flags its handler
 reads (``COMMANDS``, ``SUITES``), plus ``--config FILE``, whose
 ``key = value`` lines count as flags placed before the command line's.
 Exit codes: 0 success, 1 verification failure, 2 usage/resource error.
-Machine output goes to --out (or stdout) and is byte-identical across
-thread counts; human summaries go to stderr.
+Machine output goes to --out (or stdout); human summaries go to stderr.
+``expand`` and ``verify logcheck`` still accept ``--threads`` (>= 1) and
+ignore it: the census runs in one process.  numpy and the modules that
+load it (``cosbasis``, ``gaussian``, ``oracle``, ``rows``) are imported by
+the handlers that use them, so ``expand`` and ``verify logcheck`` never
+load numpy.
 """
 from __future__ import annotations
 
@@ -16,21 +20,12 @@ import json
 import random
 import sys
 
-import numpy as np
-
-from . import oracle
-from .cosbasis import MatrixPair
-from .census import Census, representatives
+from .census import Census
 from .diagrams import DEFAULT_KMAX, Pairing, components_and_genus, is_tadpole
 from .errors import (InvariantViolation, ResourceLimitError, StructureError,
                      ValidationError)
-from .gaussian import (EntrySymbol, RegKernel, iter_pair_partitions,
-                       propagator, quartic_monomials, u_bound_check,
-                       wick_moment, wick_order_quartic)
 from .knots import (KNOT_ACTIONS, KNOTS_KMAX, enumerate_knot_diagrams,
                     knot_record)
-from .oracle import (cached_oracle, entry_positions, gaussian_oracle_moment,
-                     richardson_limit)
 from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, assemble_Z,
                      census_table, check_action_order, connected_assemble,
                      double_limit_check, extract_Flp, f_to_json, flp_to_json,
@@ -72,7 +67,7 @@ _FLAGS = {
     "convention": {"choices": CONVENTIONS, "default": "action"},
     "action": {"choices": SERIES_ACTIONS, "default": "standard"},
     "threads": {"type": _checked(int, lambda n: n >= 1, "an integer >= 1"),
-                "default": 1},
+                "default": 1, "help": "accepted and ignored"},
     "out": {"metavar": "FILE", "help": "machine output file (default stdout)"},
     "format": {"choices": ("json", "csv"), "default": "json"},
 }
@@ -126,7 +121,7 @@ def _note(msg: str) -> None:
 
 def _expand_payload(args: argparse.Namespace) -> dict:
     check_action_order(args.action, args.kmax)
-    censuses = census_table(args.kmax, threads=args.threads)
+    censuses = census_table(args.kmax)
     z = assemble_Z(censuses, args.convention, args.action)
     lnz = formal_log(z)
     table = extract_Flp(lnz)
@@ -197,7 +192,8 @@ def cmd_knots(args: argparse.Namespace) -> int:
     return 0
 
 
-def _entry_pool(N: int, d: int) -> list[EntrySymbol]:
+def _entry_pool(N: int, d: int) -> list:
+    from .gaussian import EntrySymbol
     # entry indices are 1-based throughout
     return [EntrySymbol(f, mu, k, l)
             for f in ("A", "B") for mu in range(1, d + 1)
@@ -205,13 +201,17 @@ def _entry_pool(N: int, d: int) -> list[EntrySymbol]:
 
 
 def _verify_propagators(args: argparse.Namespace, failures: list[str]) -> None:
+    import numpy as np
+
+    from .gaussian import propagator
+    from .oracle import OracleCovariance, entry_positions, richardson_limit
     for N in args.N:
         for d in args.d:
             symbols = _entry_pool(N, d)
             pos = entry_positions(symbols, N, d)     # validates the pool
             # no eps is reused, so the oracles bypass ``cached_oracle``
             cov = richardson_limit(
-                lambda eps: oracle.OracleCovariance(N, d, eps).cov)
+                lambda eps: OracleCovariance(N, d, eps).cov)
             got = cov[np.ix_(pos, pos)]
             for i, x in enumerate(symbols):
                 for j, y in enumerate(symbols):
@@ -223,6 +223,10 @@ def _verify_propagators(args: argparse.Namespace, failures: list[str]) -> None:
 
 
 def _verify_wick(args: argparse.Namespace, failures: list[str]) -> None:
+    from .gaussian import (EntrySymbol, iter_pair_partitions, quartic_monomials,
+                           wick_moment, wick_order_quartic)
+    from .oracle import (cached_oracle, entry_positions, gaussian_oracle_moment,
+                         richardson_limit)
     for m in (2, 3):
         want = 1
         for j in range(2 * m - 1, 0, -2):
@@ -263,8 +267,11 @@ def _verify_wick(args: argparse.Namespace, failures: list[str]) -> None:
 def _verify_euler(args: argparse.Namespace, failures: list[str]) -> None:
     # the reference tracer's weighted fold must equal the census; --out
     # gets the pairings it could not trace
+    import numpy as np
+
+    from .rows import representatives
     failure_records: list[dict] = []
-    censuses = census_table(args.kmax, threads=args.threads)
+    censuses = census_table(args.kmax)
     for k in range(1, args.kmax + 1):
         fold: Census = {}
         reps = 0
@@ -294,7 +301,7 @@ def _verify_euler(args: argparse.Namespace, failures: list[str]) -> None:
 
 
 def _verify_logcheck(args: argparse.Namespace, failures: list[str]) -> None:
-    censuses = census_table(args.kmax, threads=args.threads)
+    censuses = census_table(args.kmax)
     for convention in CONVENTIONS:
         lnz = formal_log(assemble_Z(censuses, convention))
         conn = connected_assemble(censuses, convention)
@@ -308,6 +315,8 @@ def _verify_logcheck(args: argparse.Namespace, failures: list[str]) -> None:
 
 
 def _verify_bound(args: argparse.Namespace, failures: list[str]) -> None:
+    from .cosbasis import MatrixPair
+    from .gaussian import RegKernel, u_bound_check
     z_samples = [0.5, 1j, 0.7 - 0.3j, -1.1 + 0.4j]
     for N in args.N:
         for d in args.d:
@@ -338,7 +347,7 @@ COMMANDS = {
 }
 SUITES = {
     "logcheck": (_verify_logcheck, ("kmax", "threads")),
-    "euler": (_verify_euler, ("kmax", "threads", "out")),
+    "euler": (_verify_euler, ("kmax", "out")),
     "wick": (_verify_wick, ("N", "d")),
     "propagators": (_verify_propagators, ("N", "d")),
     "bound": (_verify_bound, ("N", "d", "eps")),

@@ -10,20 +10,21 @@ first appearance; mirror/reversal identification is deliberately not
 applied.  A same-vertex contraction shows up as a kink, removable by the
 first Reidemeister move; ``reduce_R1`` deletes kinks to a fixed point.
 
-The export walks one census representative per class: a shadow is
+The export walks one representative row per class (``rows``): a shadow is
 connected, so its class fixes vertex 0 and its orientation, and relabeling
 or half-turning the other vertices leaves its canonical code unchanged.
-The census's batched tracer selects the shadows and the export walks its ab
-rows; ``to_gauss_code``, the reference the export is tested against, walks
-the legs of a ``Pairing`` checked by the tracer in ``diagrams``.  A code's
-multiplicity sums its class weights; ``knots`` writes it that often.
+The batched tracer in ``rows`` selects the shadows and the export walks
+their ab rows; ``to_gauss_code``, the reference the export is tested
+against, walks the legs of a ``Pairing`` checked by the tracer in
+``diagrams``.  A code's multiplicity sums its class weights; ``knots``
+writes it that often.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 import re
 
-from .census import is_knot_shadow, representatives, trace_rows
+from .census import is_knot_shadow
 from .diagrams import Pairing, components_and_genus
 from .errors import ResourceLimitError, StructureError, ValidationError
 from .series import GaussRational, _vertex_prefactor, gauss_rational_json
@@ -172,6 +173,7 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
         raise ResourceLimitError(f"knot export k={k} outside 0..{KNOTS_KMAX}")
     if k == 0:
         return []
+    from .rows import representatives, trace_rows   # numpy, only when walked
     counts: dict[GaussCode, int] = {}
     canonical: dict[tuple, GaussCode] = {}    # walked entries -> canonical code
     for bp, weight, connected in representatives(k):

@@ -175,23 +175,13 @@ def _vertex_prefactor(k: int, convention: str) -> GaussRational:
     return GaussRational.i_power(3 * k) * Fraction(1, denom)
 
 
-# Lowest order whose census runs faster on a process pool.  On 2 cores,
-# orders 1..5 take 0.001 / 0.001 / 0.002 / 0.003 / 0.029 s serially but
-# 0.042 / 0.021 / 0.030 / 0.033 / 0.041 s on 2 workers, mostly pool start;
-# order 6 takes 0.42 s serially and 0.22 s pooled, order 7 4.5 s and 2.2 s.
-POOL_MIN_K = 6
-
-
-def census_table(kmax: int, threads: int = 1) -> CensusTable:
+def census_table(kmax: int) -> CensusTable:
     """The census of every order 1..kmax, computed once per run.
 
-    Every series consumer takes this table, so a run traces each order's
-    pairings exactly once whatever it derives from them.  ``threads`` is the
-    most pool workers an order gets: orders below ``POOL_MIN_K`` are traced
-    serially in this process, where a pool would cost more than it saves.
+    Every series consumer takes this table, so a run builds each order's
+    census once, whatever it derives from it.
     """
-    return {k: pairing_census(k, threads=threads if k >= POOL_MIN_K else 1)
-            for k in range(1, kmax + 1)}
+    return {k: pairing_census(k) for k in range(1, kmax + 1)}
 
 
 def _table_kmax(table: CensusTable) -> int:

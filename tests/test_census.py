@@ -1,16 +1,17 @@
-"""Vectorized pairing census against the reference per-pairing fold."""
+"""Frontier census and representative rows against independent references."""
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from triline import census
-from triline.census import (_census_rows, _row_cycle_counts, pairing_census,
-                            representatives, trace_rows)
+from triline import census, rows
+from triline.census import pairing_census
 from triline.diagrams import Pairing, components_and_genus, enumerate_matchings, \
     is_tadpole
 from triline.errors import InvariantViolation, ResourceLimitError
+from triline.rows import _row_cycle_counts, representatives, trace_rows
+from row_census import census_rows, row_census
 from unreduced import count_matchings, iter_matchings_batched
 
 
@@ -71,6 +72,23 @@ def test_census_equals_reference(k):
     assert pairing_census(k) == reference_census(k)
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_frontier_equals_row_census(k):
+    # the row census traces every representative row; it shares no code
+    # with the frontier's transfer over open ends
+    assert pairing_census(k) == row_census(k)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_census_d_marginal_closed_form(k):
+    # at N = 1 the census weighs each pairing by d^l: E|z^T z|^{2k} for a
+    # complex Gaussian z in C^d is 2^k k! prod_{j<k} (d + 2j)
+    got = pairing_census(k)
+    for d in range(1, 6):
+        want = 2 ** k * math.factorial(k) * math.prod(d + 2 * j for j in range(k))
+        assert sum(n * d ** l for (_C, l, _conn, _tad), n in got.items()) == want
+
+
 def test_census_equals_unreduced_fold_k5():
     # every one of the 10! labeled pairings traced with unit weight: the
     # representatives and their weights must give the same histogram
@@ -78,7 +96,7 @@ def test_census_equals_unreduced_fold_k5():
     for bp in iter_matchings_batched(5):
         ones = np.ones(bp.shape[0], dtype=np.int64)
         conn = _row_connected(bp // 2, 5)
-        for key, n in _census_rows(bp, ones, conn).items():
+        for key, n in census_rows(bp, ones, conn).items():
             unreduced[key] = unreduced.get(key, 0) + n
     assert pairing_census(5) == unreduced
 
@@ -89,37 +107,33 @@ def test_census_total_is_factorial():
 
 
 def test_census_weight_check_raises(monkeypatch):
-    root = census._root
+    # one frontier weight off by one: the total is no longer (2k)!
+    frontier = census._frontier
 
-    def doubled(k):
-        bp, used, t, w, opened = root(k)
-        return bp, used, t, 2 * w, opened
+    def corrupted(k):
+        out = frontier(k)
+        key = next(iter(out))
+        out[key] += 1
+        return out
 
-    monkeypatch.setattr(census, "_root", doubled)
+    monkeypatch.setattr(census, "_frontier", corrupted)
     with pytest.raises(InvariantViolation):
         pairing_census(3)
 
 
-def test_parallel_census_bit_identical():
-    assert pairing_census(3, threads=4) == pairing_census(3, threads=1)
-    # 14,306 representatives: the serial stream crosses _ROW_CHUNK boundaries
-    assert pairing_census(5, threads=2) == pairing_census(5)
-
-
 def test_results_independent_of_row_chunk(monkeypatch):
-    # batch boundaries move; the census and the representative stream
+    # batch boundaries move; the row census and the representative stream
     # (rows, weights, flags and their order) must not
     def stream(k):
         batches = list(representatives(k))
         return [np.concatenate(part) for part in zip(*batches)]
 
-    default = {k: pairing_census(k) for k in range(1, 7)}
-    rows = {k: stream(k) for k in range(1, 6)}
-    monkeypatch.setattr(census, "_ROW_CHUNK", 7)
+    default = {k: stream(k) for k in range(1, 6)}
+    monkeypatch.setattr(rows, "_ROW_CHUNK", 7)
     for k in range(1, 7):
-        assert pairing_census(k) == default[k]
+        assert row_census(k) == pairing_census(k)
     for k in range(1, 6):
-        for got, want in zip(stream(k), rows[k]):
+        for got, want in zip(stream(k), default[k]):
             np.testing.assert_array_equal(got, want)
 
 
@@ -196,8 +210,7 @@ def test_planar_count_equals_tutte(k, want):
     tutte = (2 ** (k - 1) * math.factorial(k - 1) * 2 * 3 ** k
              * math.factorial(2 * k)
              // (math.factorial(k) * math.factorial(k + 2)))
-    census = pairing_census(k, threads=2 if k >= 5 else 1)
-    planar = sum(n for (C, _l, conn, _tad), n in census.items()
+    planar = sum(n for (C, _l, conn, _tad), n in pairing_census(k).items()
                  if conn and C == k + 2)
     assert planar == tutte == want
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import triline
-from triline import cli
+from triline import cli, gaussian
 from triline.cli import COMMANDS, SUITES, main, make_parser
 from triline.errors import InvariantViolation, ValidationError
 from triline.knots import enumerate_knot_diagrams
@@ -97,8 +97,8 @@ def test_knots_cap_exit_2(capsys):
 def test_verify_euler_fails_on_census_mismatch(monkeypatch, capsys):
     real = cli.census_table
 
-    def off_by_one(kmax, threads=1):
-        table = real(kmax, threads)
+    def off_by_one(kmax):
+        table = real(kmax)
         key = next(iter(table[2]))
         table[2] = {**table[2], key: table[2][key] + 1}
         return table
@@ -205,12 +205,12 @@ _UNREAD = [(name, flag) for name, (_, reads) in {**COMMANDS, **SUITES}.items()
 
 
 def test_flag_table_size():
-    # each command or suite reads its own flags, and --config: 29 of the
+    # each command or suite reads its own flags, and --config: 28 of the
     # 7 x 10 (command, flag) pairs
     tables = {**COMMANDS, **SUITES}
     assert len(tables) == 7 and len(_FLAG_VALUES) + 2 == 10
-    assert sum(len(reads) + 1 for _, reads in tables.values()) == 29
-    assert len(_UNREAD) == 70 - 29
+    assert sum(len(reads) + 1 for _, reads in tables.values()) == 28
+    assert len(_UNREAD) == 70 - 28
 
 
 @pytest.mark.parametrize("name,flag", _UNREAD)
@@ -263,7 +263,7 @@ def test_benchmark_argvs_reach_handlers(monkeypatch, tmp_path):
     assert got == [
         {"kmax": 5, "threads": 1, "out": f"{tmp_path}/expand.json"},
         {"kmax": 5, "threads": 2},
-        {"kmax": 4, "threads": 1, "out": None},
+        {"kmax": 4, "out": None},
         {"N": (4,), "d": (3,)},
         {"N": (5,), "d": (3,)},
         {"kmax": 4, "out": f"{tmp_path}/knots.jsonl"},
@@ -283,7 +283,7 @@ def test_readme_cli_examples_parse():
 
 
 def test_symmetric_cap_before_census(monkeypatch, capsys):
-    def no_census(kmax, threads=1):
+    def no_census(kmax):
         raise AssertionError("census built")
 
     monkeypatch.setattr(cli, "census_table", no_census)
@@ -317,14 +317,14 @@ def test_verify_euler_records_untraceable_pairings(monkeypatch, tmp_path):
 
 
 def test_verify_propagators_fails_on_wrong_propagator(monkeypatch, capsys):
-    real = cli.propagator
+    real = gaussian.propagator
 
     def no_greek_delta(x, y, N=None, d=None):
         if x.mu != y.mu and x.family != y.family:
             return 1j
         return real(x, y, N=N, d=d)
 
-    monkeypatch.setattr(cli, "propagator", no_greek_delta)
+    monkeypatch.setattr(gaussian, "propagator", no_greek_delta)
     assert run(["verify", "propagators", "--N", "1", "--d", "2"]) == 1
     fails = sorted(line.split(":")[0] for line in
                    capsys.readouterr().err.splitlines()
@@ -335,8 +335,8 @@ def test_verify_propagators_fails_on_wrong_propagator(monkeypatch, capsys):
 
 def test_verify_wick_fails_on_wrong_counterterm(monkeypatch, capsys):
     assert run(["verify", "wick", "--N", "1,2", "--d", "1"]) == 0
-    real = cli.wick_order_quartic
-    monkeypatch.setattr(cli, "wick_order_quartic",
+    real = gaussian.wick_order_quartic
+    monkeypatch.setattr(gaussian, "wick_order_quartic",
                         lambda N, d: (real(N, d)[0], real(N, d)[1] + 1e-6))
     assert run(["verify", "wick", "--N", "1,2", "--d", "1"]) == 1
     fails = [line.split(" = ")[0] for line in capsys.readouterr().err.splitlines()
@@ -345,7 +345,7 @@ def test_verify_wick_fails_on_wrong_counterterm(monkeypatch, capsys):
 
 
 def test_cli_import_loads_no_process_pool():
-    # the pool is imported only by a census with threads > 1
+    # the census runs in one process, whatever --threads says
     code = ("import sys, triline.cli; print([m for m in sys.modules "
             "if m in ('concurrent.futures.process', 'multiprocessing')])")
     env = dict(os.environ, PYTHONPATH=str(Path(triline.__file__).parents[1]))
@@ -365,12 +365,14 @@ def test_verify_wick_loads_no_numpy_random():
     assert out.stdout.split() == ["0", "False"]
 
 
-def test_verify_logcheck_k5_on_two_threads_loads_no_process_pool():
-    # orders below series.POOL_MIN_K are traced in the parent
-    code = ("import sys; from triline.cli import main; "
-            "rc = main(['verify', 'logcheck', '--kmax', '5', '--threads', '2']); "
-            "print(rc, 'concurrent.futures.process' in sys.modules)")
+def test_expand_and_logcheck_load_no_numpy():
+    # the frontier census and the series are pure Python; only the handlers
+    # that need numpy (euler, wick, propagators, bound, knots) import it
+    code = ("import os, sys; from triline.cli import main; "
+            "rc = main(['expand', '--kmax', '5', '--out', os.devnull]); "
+            "rc2 = main(['verify', 'logcheck', '--kmax', '5', '--threads', '2']); "
+            "print(rc, rc2, 'numpy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(triline.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["0", "False"]
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["0", "0", "False"]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from triline.errors import (ResourceLimitError, StructureError, ValidationError)
 from triline.mixed import counterterm_series
-from triline import series
 from triline.oracle import gaussian_oracle_moment, richardson_limit
 from triline.series import (F_of_g, FlpTable, GaussRational, TriSeries,
                             assemble_Z, census_table, connected_assemble,
@@ -81,15 +80,6 @@ def test_census_table_must_cover_every_order():
         assemble_Z(table)
     with pytest.raises(ValidationError):
         planar_loop_counts(table)
-
-
-def test_census_table_pools_only_from_order_6(monkeypatch):
-    # a pool costs more to start than orders k <= 5 take serially
-    asked = []
-    monkeypatch.setattr(series, "pairing_census",
-                        lambda k, threads: asked.append((k, threads)) or {})
-    census_table(7, threads=2)
-    assert asked == [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (7, 2)]
 
 
 def test_formal_exp_inverts_log():
