@@ -3,8 +3,8 @@
 Modules, bottom up: :mod:`cosbasis` (real coordinates of Hermitian matrix
 pairs); :mod:`gaussian` (the regularized weight, T-transforms, propagators,
 Wick sums) with the numeric oracle :mod:`oracle`; :mod:`diagrams`
-(pairings, triple-line loops, genus) with the frontier census
-:mod:`census` and the representative rows :mod:`rows`; :mod:`series`
+(pairings, triple-line loops, genus) with :mod:`census` (the frontier
+census and the row walk over the same moves); :mod:`series`
 (exact Z, ln Z, F_{l,p} and F(g), cross-checked by :mod:`mixed`);
 :mod:`knots` (Gauss-code export); and :mod:`cli`.  Each name is imported
 from its own module, e.g. ``from triline.series import F_of_g``: the

@@ -1,23 +1,34 @@
-"""Pairing census by a transfer matrix over the generator's open ends.
+"""Pairing census by a transfer matrix over open ends, and the row walk.
 
 The census of order k is the exact histogram {(C, l, connected, tadpole):
-count} over the (2k)! ab pairings.  It makes the choices of the row
-generator in ``rows``, with the same weights: pair A-index a = 0, 1, ...
-with an unpaired B-index of a touched vertex (weight 1) or with B-index 2t
-of fresh vertex t (weight 2(k - t)), touching vertex t first when every
-touched A-index is paired.  But the future of a partial row depends only on
-how its open ends are joined, so partial rows with the same open ends merge
-and the census never holds a row (a transfer-matrix enumeration, as for
-meanders, Jensen, J. Phys. A 33, 2000, and knots, Jacobsen and Zinn-Justin,
-J. Knot Theory Ramif. 11, 2002).  At k = 7 it holds at most 781 states,
-against the 2,737,562 rows the generator yields.
+count} over the (2k)! ab pairings.  One representative row bp (the B-index
+paired with each A-index) stands for each class of labeled pairings under
+vertex relabeling and half-turns, which leave the key unchanged; vertex v
+carries A- and B-indices 2v, 2v+1, and vertices are numbered as they are
+touched.  ``_moves`` holds the generator's moves, once: pair A-index
+a = 0, 1, ... with an unpaired B-index of a touched vertex (weight 1) or
+with B-index 2t of fresh vertex t (weight 2(k - t), the B-indices of the
+untouched vertices that relabeling and half-turns map onto it), touching
+vertex t first (weight 1) when every touched A-index is paired.  A row's
+weight, the product of its moves' weights, counts the labeled pairings it
+stands for.
+
+``representatives`` walks the moves depth first and yields every row with
+its key; the knot export and ``verify euler`` need the rows themselves.
+The census needs only their histogram.  The future of a partial row depends
+only on how its open ends are joined, so partial rows with the same open
+ends merge and the census never holds a row (a transfer-matrix enumeration,
+as for meanders, Jensen, J. Phys. A 33, 2000, and knots, Jacobsen and
+Zinn-Justin, J. Knot Theory Ramif. 11, 2002).  At k = 7 it holds at most
+781 states, against the 2,737,562 rows the walk yields.
 
 Three graphs on the 4k index nodes carry the loops.  G1 is the pairing
 edges A x - B bp[x] plus B y - A y; G2 the pairing edges plus B y - A y^1;
 G3 the pairing edges plus the mates A x - A x^1 and B y - B y^1.  Once bp is
 complete each is 2-regular, C = cycles(G1) + cycles(G2) and l = cycles(G3):
-these are ``rows.trace_rows``' cycles(bp) + cycles(bp ^ 1) and
-cycles(tau) / 2.
+these are cycles(bp) + cycles(bp ^ 1) and cycles(tau) / 2 with
+tau(x) = bp^-1[bp[x] ^ 1] ^ 1, as the independent row tracer in
+``tests/row_census.py`` counts them.
 
 With a A-indices paired and t vertices touched, the n = 2t - a open
 A-indices a..2t-1 are A_0..A_{n-1}.  In G1 and G2 every open path joins an
@@ -38,7 +49,9 @@ min(openings, 2), tadpole) to an exact weight: each opening after the first
 starts a new component, so one opening means connected.  States with equal
 keys merge by adding values.  After the last A-index one state is left, and
 its value is the census.  The weights of an order must total (2k)!, or the
-census raises ``InvariantViolation``.
+census raises ``InvariantViolation``.  The walk merges nothing: a partial
+row carries its key, its own (C, l, openings, tadpole) and weight, and the
+B-index each open slot holds, so that pairing A_0 with B_j writes bp[a].
 """
 from __future__ import annotations
 
@@ -53,7 +66,7 @@ Value = dict[tuple[int, int, int, bool], int]   # (C, l, openings, tad) -> weigh
 
 
 def is_knot_shadow(k: int, C, l, connected):
-    """Knot shadow: connected, l = 1, genus 0 (C = k + 2); elementwise."""
+    """Knot shadow: connected, l = 1, genus 0 (C = k + 2)."""
     return connected & (l == 1) & (C == k + 2)
 
 
@@ -63,6 +76,11 @@ def _touch(key: Key, rel: int) -> Key:
     m2, m3, bv = key
     n, e = len(m2), 2 * len(m2)
     return m2 + (n + 1, n), m3 + (e + 2, e + 3, e, e + 1), bv + (rel, rel)
+
+
+def _slide(slots, j: int):
+    """``slots`` less slots 0 and j, slot 0's entry taking slot j."""
+    return slots[1:j] + slots[:1] + slots[j + 1:] if j else slots[1:]
 
 
 def _join(key: Key, j: int, shift: int) -> tuple[int, bool, bool, Key]:
@@ -77,35 +95,43 @@ def _join(key: Key, j: int, shift: int) -> tuple[int, bool, bool, Key]:
     greek = u == 2 * j + 1
     if not greek:
         m3[u], m3[v] = v, u
-    # B_0's G1 path now ends at A_j, so B_0 takes slot j; A_0 and B_j go
-    src = [0 if i == j else i for i in range(1, len(m2))]
-    relabel = {2 * i: 2 * i - 2 for i in range(1, len(m2))}
-    relabel.update((2 * s + 1, 2 * i + 1) for i, s in enumerate(src))
-    new_m3 = []
-    for i, s in enumerate(src):
-        new_m3 += relabel[m3[2 * i + 2]], relabel[m3[2 * s + 1]]
+    # B_0's G1 path now ends at A_j, so B_0 takes slot j; A_0 and B_j go,
+    # and every other end moves down one slot: label e becomes e - 2
+    m3 = [2 * j - 1 if e == 1 else e - 2 for e in m3]
+    m3[2 * j + 1] = m3[1]
+    bv_out = _slide(bv, j)
+    if shift:
+        bv_out = tuple([e - 1 if e > 0 else -1 for e in bv_out])
     return latin, greek, bv[j] == 0, (
-        tuple(m2[s] - 1 for s in src), tuple(new_m3),
-        tuple(max(bv[s] - shift, -1) for s in src))
+        tuple([e - 1 for e in _slide(m2, j)]), tuple(m3[2:]), bv_out)
+
+
+def _moves(k: int, a: int, key: Key):
+    """Each allowed pairing of A-index a from a state keyed ``key``, as
+    (B-indices 2t, 2t+1 of each vertex t it touches, slot j of the B-index
+    it takes, weight, ``_join``'s result).  A vertex opens first when no
+    touched A-index is left."""
+    shift = a & 1                        # vertex a >> 1 moves on after odd a
+    t = (a + len(key[0])) >> 1           # touched vertices
+    opened: tuple[int, ...] = ()
+    if not key[0]:
+        key, opened, t = _touch(key, 0), (2 * t, 2 * t + 1), t + 1
+    n = len(key[0])
+    for j in range(n):
+        yield opened, j, 1, _join(key, j, shift)
+    if t < k:
+        yield (opened + (2 * t, 2 * t + 1), n, 2 * (k - t),
+               _join(_touch(key, t - (a >> 1)), n, shift))
 
 
 def _frontier(k: int) -> Census:
     """The census of order k, unchecked."""
     states: dict[Key, Value] = {((), (), ()): {(0, 0, 0, False): 1}}
     for a in range(2 * k):
-        shift = a & 1                        # vertex a >> 1 moves on after odd a
         merged: dict[Key, Value] = {}
         for key, value in states.items():
-            t = (a + len(key[0])) >> 1       # touched vertices
-            opens = not key[0]               # every touched A-index is paired
-            if opens:
-                key = _touch(key, 0)
-                t += 1
-            moves = [(_join(key, j, shift), 1) for j in range(len(key[0]))]
-            if t < k:
-                moves.append((_join(_touch(key, t - (a >> 1)), len(key[0]),
-                                    shift), 2 * (k - t)))
-            for (latin, greek, tadpole, child), mult in moves:
+            opens = not key[0]
+            for _, _, mult, (latin, greek, tadpole, child) in _moves(k, a, key):
                 into = merged.setdefault(child, {})
                 for (C, l, op, tad), w in value.items():
                     out = (C + latin, l + greek, min(op + opens, 2),
@@ -114,6 +140,33 @@ def _frontier(k: int) -> Census:
         states = merged
     (value,) = states.values()
     return {(C, l, op == 1, tad): w for (C, l, op, tad), w in value.items()}
+
+
+def representatives(k: int, shadows: bool = False, tadpoles: bool = True):
+    """Yield (bp, weight, (C, l, connected, tadpole)), one row per class.
+
+    A depth-first walk of ``_moves`` that merges nothing.  ``shadows`` stops
+    at a second opening and at a Greek loop closed before the last A-index
+    (whose pairing always closes one), so only connected single-loop rows
+    are left; ``tadpoles=False`` stops at a tadpole.
+    """
+    last = 2 * k - 1
+    # a, key, B-index held by each open slot, bp, weight, C, l, openings, tad
+    stack = [(0, ((), (), ()), (), (), 1, 0, 0, 0, False)]
+    while stack:
+        a, key, held, bp, w, C, l, op, tad = stack.pop()
+        if a > last:
+            yield bp, w, (C, l, op == 1, tad)
+            continue
+        op += not key[0]
+        if shadows and op > 1:
+            continue
+        for touched, j, mult, (latin, greek, tadpole, child) in _moves(k, a, key):
+            if (shadows and greek and a < last) or (tadpole and not tadpoles):
+                continue
+            ends = held + touched
+            stack.append((a + 1, child, _slide(ends, j), bp + (ends[j],),
+                          w * mult, C + latin, l + greek, op, tad or tadpole))
 
 
 def pairing_census(k: int) -> Census:

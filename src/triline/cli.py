@@ -7,9 +7,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage/resource error.
 Machine output goes to --out (or stdout); human summaries go to stderr.
 ``expand`` and ``verify logcheck`` still accept ``--threads`` (>= 1) and
 ignore it: the census runs in one process.  numpy and the modules that
-load it (``cosbasis``, ``gaussian``, ``oracle``, ``rows``) are imported by
-the handlers that use them, so ``expand`` and ``verify logcheck`` never
-load numpy.
+load it (``cosbasis``, ``gaussian``, ``oracle``) are imported by the
+handlers that use them, so ``expand``, ``knots``, ``verify logcheck`` and
+``verify euler`` never load numpy.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import json
 import random
 import sys
 
-from .census import Census
+from .census import Census, representatives
 from .diagrams import DEFAULT_KMAX, Pairing, components_and_genus, is_tadpole
 from .errors import (InvariantViolation, ResourceLimitError, StructureError,
                      ValidationError)
@@ -201,8 +201,6 @@ def _entry_pool(N: int, d: int) -> list:
 
 
 def _verify_propagators(args: argparse.Namespace, failures: list[str]) -> None:
-    import numpy as np
-
     from .gaussian import propagator
     from .oracle import OracleCovariance, entry_positions, richardson_limit
     for N in args.N:
@@ -212,7 +210,7 @@ def _verify_propagators(args: argparse.Namespace, failures: list[str]) -> None:
             # no eps is reused, so the oracles bypass ``cached_oracle``
             cov = richardson_limit(
                 lambda eps: OracleCovariance(N, d, eps).cov)
-            got = cov[np.ix_(pos, pos)]
+            got = cov[pos][:, pos]
             for i, x in enumerate(symbols):
                 for j, y in enumerate(symbols):
                     want = propagator(x, y)
@@ -265,32 +263,34 @@ def _verify_wick(args: argparse.Namespace, failures: list[str]) -> None:
 
 
 def _verify_euler(args: argparse.Namespace, failures: list[str]) -> None:
-    # the reference tracer's weighted fold must equal the census; --out
-    # gets the pairings it could not trace
-    import numpy as np
-
-    from .rows import representatives
+    # the reference tracer checks every row of the census's row walk, whose
+    # moves are the frontier's (the independent row generator, checked
+    # against the frontier for every k <= 7, is tests/row_census.py): each
+    # row's key against the walk's, then the weighted fold against the
+    # census; --out gets the pairings it could not trace
     failure_records: list[dict] = []
     censuses = census_table(args.kmax)
     for k in range(1, args.kmax + 1):
         fold: Census = {}
         reps = 0
-        for bp, weight, _connected in representatives(k):
-            reps += weight.size
-            # leg rows: A-index i is leg 2i, B-index j is leg 2j + 1
-            match = np.empty((len(bp), 4 * k), dtype=np.int8)
-            match[:, 0::2] = 2 * bp + 1
-            match[:, 1::2] = 2 * bp.argsort(axis=1)
-            for row, w in zip(match.tolist(), weight.tolist()):
-                p = Pairing(k, tuple(row))
-                try:
-                    rep = components_and_genus(p)
-                except InvariantViolation as exc:
-                    failures.append(f"k={k} match={p.match}: {exc}")
-                    failure_records.append({"k": k, "match": p.pairs()})
-                    continue
-                key = (rep.C, rep.l, rep.components == 1, is_tadpole(p))
-                fold[key] = fold.get(key, 0) + w
+        for bp, weight, key in representatives(k):
+            reps += 1
+            # legs: A-index i is leg 2i, B-index j is leg 2j + 1
+            match = [0] * (4 * k)
+            for i, j in enumerate(bp):
+                match[2 * i], match[2 * j + 1] = 2 * j + 1, 2 * i
+            p = Pairing(k, tuple(match))
+            try:
+                rep = components_and_genus(p)
+            except InvariantViolation as exc:
+                failures.append(f"k={k} match={p.match}: {exc}")
+                failure_records.append({"k": k, "match": p.pairs()})
+                continue
+            ref = (rep.C, rep.l, rep.components == 1, is_tadpole(p))
+            if ref != key:
+                failures.append(f"k={k} match={p.pairs()}: "
+                                f"reference {ref} != frontier {key}")
+            fold[ref] = fold.get(ref, 0) + weight
         if fold != censuses[k]:
             failures.append(f"k={k}: weighted reference fold != census")
         _note(f"euler k={k}: {reps} representatives, "

@@ -10,21 +10,23 @@ first appearance; mirror/reversal identification is deliberately not
 applied.  A same-vertex contraction shows up as a kink, removable by the
 first Reidemeister move; ``reduce_R1`` deletes kinks to a fixed point.
 
-The export walks one representative row per class (``rows``): a shadow is
-connected, so its class fixes vertex 0 and its orientation, and relabeling
-or half-turning the other vertices leaves its canonical code unchanged.
-The batched tracer in ``rows`` selects the shadows and the export walks
-their ab rows; ``to_gauss_code``, the reference the export is tested
-against, walks the legs of a ``Pairing`` checked by the tracer in
-``diagrams``.  A code's multiplicity sums its class weights; ``knots``
-writes it that often.
+The export walks one representative row per class
+(``census.representatives``): a shadow is connected, so its class fixes
+vertex 0 and its orientation, and relabeling or half-turning the other
+vertices leaves its canonical code unchanged.  The walk stops at a second
+opening and at a Greek loop closed early, so it yields only connected
+single-loop rows, and the export keeps those of genus 0 and walks their
+strands; ``to_gauss_code``, the reference the export is tested against,
+walks the legs of a ``Pairing`` checked by the tracer in ``diagrams``.
+A code's multiplicity sums its class weights; ``knots`` writes it that
+often.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 import re
 
-from .census import is_knot_shadow
+from .census import representatives
 from .diagrams import Pairing, components_and_genus
 from .errors import ResourceLimitError, StructureError, ValidationError
 from .series import GaussRational, _vertex_prefactor, gauss_rational_json
@@ -173,20 +175,17 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
         raise ResourceLimitError(f"knot export k={k} outside 0..{KNOTS_KMAX}")
     if k == 0:
         return []
-    from .rows import representatives, trace_rows   # numpy, only when walked
     counts: dict[GaussCode, int] = {}
     canonical: dict[tuple, GaussCode] = {}    # walked entries -> canonical code
-    for bp, weight, connected in representatives(k):
-        C, l, tad = trace_rows(bp)
-        keep = is_knot_shadow(k, C, l, connected)
-        if action == "wick_ordered":
-            keep &= ~tad
-        for row, w in zip(bp[keep].tolist(), weight[keep].tolist()):
-            walked = _strand_walk(row)
-            code = canonical.get(walked)
-            if code is None:
-                code = canonical[walked] = canonical_code(GaussCode(walked))
-            counts[code] = counts.get(code, 0) + w
+    for bp, weight, (C, _l, _conn, _tad) in representatives(
+            k, shadows=True, tadpoles=action != "wick_ordered"):
+        if C != k + 2:                        # genus 0
+            continue
+        walked = _strand_walk(bp)
+        code = canonical.get(walked)
+        if code is None:
+            code = canonical[walked] = canonical_code(GaussCode(walked))
+        counts[code] = counts.get(code, 0) + weight
     pref = _vertex_prefactor(k, convention)
     return [(code, mult, pref) for code, mult in counts.items()]
 

@@ -1,17 +1,18 @@
-"""Frontier census and representative rows against independent references."""
+"""Frontier census and row walk against independent references."""
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from triline import census, rows
-from triline.census import pairing_census
+from triline import census
+from triline.census import is_knot_shadow, pairing_census
 from triline.diagrams import Pairing, components_and_genus, enumerate_matchings, \
     is_tadpole
 from triline.errors import InvariantViolation, ResourceLimitError
-from triline.rows import _row_cycle_counts, representatives, trace_rows
-from row_census import census_rows, row_census
+from row_census import _row_cycle_counts, census_rows, representatives, \
+    row_census, trace_rows
+import row_census as rows
 from unreduced import count_matchings, iter_matchings_batched
 
 
@@ -21,6 +22,16 @@ def reference_census(k):
         rep = components_and_genus(p)
         out[(rep.C, rep.l, rep.components == 1, is_tadpole(p))] += 1
     return dict(out)
+
+
+def reference_rows(k):
+    """(bp, weight, (C, l, connected, tadpole)) per row of the numpy
+    generator, keyed by its batched tracer."""
+    for bp, w, connected in representatives(k):
+        C, l, tad = trace_rows(bp)
+        yield from zip(map(tuple, bp.tolist()), w.tolist(),
+                       zip(C.tolist(), l.tolist(), connected.tolist(),
+                           tad.tolist()))
 
 
 def leg_rows(bp: np.ndarray) -> np.ndarray:
@@ -143,11 +154,42 @@ def test_representatives_count_and_weight():
         assert sum(w.size for _bp, w, _conn in batches) == want
         assert sum(int(w.sum()) for _bp, w, _conn in batches) == \
             math.factorial(2 * k)
+        # the census's walk makes the same moves
+        walk = [w for _bp, w, _key in census.representatives(k)]
+        assert len(walk) == want and sum(walk) == math.factorial(2 * k)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_walk_rows_equal_reference_rows(k):
+    # row, weight and key of every row: the walk's keys come from the
+    # frontier's moves, the reference's from the batched tracer
+    assert Counter(census.representatives(k)) == Counter(reference_rows(k))
+
+
+@pytest.mark.parametrize("k, want", zip(range(1, 7),
+                                        (2, 8, 42, 260, 1_796, 13_396)))
+def test_walk_shadows_equal_reference_shadows(k, want):
+    # the knot export's prunes, under both actions: only connected
+    # single-loop rows (and no tadpole for wick_ordered) survive the walk
+    ref = Counter(row for row in reference_rows(k)
+                  if is_knot_shadow(k, *row[2][:3]))
+    planar = [row for row in census.representatives(k, shadows=True)
+              if row[2][0] == k + 2]
+    assert Counter(planar) == ref
+    no_tad = [row for row in census.representatives(k, shadows=True,
+                                                    tadpoles=False)
+              if row[2][0] == k + 2]
+    assert Counter(no_tad) == Counter(
+        {row: n for row, n in ref.items() if not row[2][3]})
+    # a shadow is connected: its fresh moves weigh 2(k - t), t = 1..k-1
+    assert len(planar) == want
+    assert {w for _bp, w, _key in planar} == {
+        2 ** (k - 1) * math.factorial(k - 1)}
 
 
 def test_trace_rows_equal_reference_tracer():
-    # all 15,682 representatives at k <= 5, row by row: the knot export
-    # selects its shadows from trace_rows and the generator's flag alone
+    # all 15,682 representatives at k <= 5, row by row: the row census
+    # folds trace_rows and the generator's flag alone
     for k in range(1, 6):
         for bp, _w, connected in representatives(k):
             C, l, tad = trace_rows(bp)
@@ -176,6 +218,10 @@ def test_generator_openings_flag_is_connectivity():
     for k in range(1, 6):
         for bp, _w, connected in representatives(k):
             np.testing.assert_array_equal(connected, _row_connected(bp // 2, k))
+        walk = list(census.representatives(k))
+        bp = np.array([row for row, _w, _key in walk])
+        np.testing.assert_array_equal([key[2] for _bp, _w, key in walk],
+                                      _row_connected(bp // 2, k))
 
 
 def test_row_cycle_counts_against_python():

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import triline
 from triline import cli, gaussian
 from triline.cli import COMMANDS, SUITES, main, make_parser
+from triline.diagrams import Pairing, is_tadpole
 from triline.errors import InvariantViolation, ValidationError
 from triline.knots import enumerate_knot_diagrams
 
@@ -108,6 +110,28 @@ def test_verify_euler_fails_on_census_mismatch(monkeypatch, capsys):
     fails = [line for line in capsys.readouterr().err.splitlines()
              if line.startswith("FAIL")]
     assert fails == ["FAIL k=2: weighted reference fold != census"]
+
+
+def test_verify_euler_names_the_row_that_broke(monkeypatch, capsys):
+    # one k = 2 pairing traced with a wrong C: its line names it and both keys
+    real = cli.components_and_genus
+    broken = [(0, 1), (2, 3), (4, 5), (6, 7)]
+
+    def wrong_c(p):
+        rep = real(p)
+        return replace(rep, C=rep.C + 1) if p.pairs() == broken else rep
+
+    monkeypatch.setattr(cli, "components_and_genus", wrong_c)
+    assert run(["verify", "euler", "--kmax", "3"]) == 1
+    p = Pairing.from_pairs(2, broken)
+    rep = real(p)
+    frontier = (rep.C, rep.l, rep.components == 1, is_tadpole(p))
+    reference = (rep.C + 1,) + frontier[1:]
+    fails = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("FAIL")]
+    assert fails == [f"FAIL k=2 match={broken}: reference {reference} "
+                     f"!= frontier {frontier}",
+                     "FAIL k=2: weighted reference fold != census"]
 
 
 def test_outputs_thread_independent(tmp_path):
@@ -365,14 +389,16 @@ def test_verify_wick_loads_no_numpy_random():
     assert out.stdout.split() == ["0", "False"]
 
 
-def test_expand_and_logcheck_load_no_numpy():
-    # the frontier census and the series are pure Python; only the handlers
-    # that need numpy (euler, wick, propagators, bound, knots) import it
+def test_expand_logcheck_knots_euler_load_no_numpy():
+    # the frontier census, its row walk and the series are pure Python;
+    # only the handlers that need numpy (wick, propagators, bound) import it
     code = ("import os, sys; from triline.cli import main; "
-            "rc = main(['expand', '--kmax', '5', '--out', os.devnull]); "
-            "rc2 = main(['verify', 'logcheck', '--kmax', '5', '--threads', '2']); "
-            "print(rc, rc2, 'numpy' in sys.modules)")
+            "rc = [main(['expand', '--kmax', '5', '--out', os.devnull]), "
+            "main(['verify', 'logcheck', '--kmax', '5', '--threads', '2']), "
+            "main(['knots', '--kmax', '4', '--out', os.devnull]), "
+            "main(['verify', 'euler', '--kmax', '3'])]; "
+            "print(*rc, 'numpy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(triline.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.split() == ["0", "0", "False"]
+    assert out.stdout.split() == ["0", "0", "0", "0", "False"]

@@ -39,7 +39,7 @@ def test_import_pins_blas_to_one_thread():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="no /proc task list on this platform")
 def test_import_starts_no_blas_threads():
-    # triline.rows loads numpy, and with it the BLAS library
-    show = ("import os, triline.rows; "
+    # triline.oracle loads numpy, and with it the BLAS library
+    show = ("import os, triline.oracle; "
             "print(len(os.listdir('/proc/self/task')))")
     assert _fresh(show) == "1"
