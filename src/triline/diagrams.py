@@ -27,6 +27,7 @@ must reproduce i^{2k} N^C d^l.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
@@ -107,7 +108,8 @@ def enumerate_matchings(k: int, mode: str = "ab_only"):
     yield from rec(0)
 
 
-def _vertex_port_involution(k: int) -> list[int]:
+@cache
+def _vertex_port_involution(k: int) -> tuple[int, ...]:
     """col(position q) <-> row(position q+1 mod 4), as a port involution."""
     vm = [0] * (8 * k)
     for v in range(k):
@@ -116,7 +118,7 @@ def _vertex_port_involution(k: int) -> list[int]:
             row = 2 * (4 * v + (q + 1) % 4)
             vm[col] = row
             vm[row] = col
-    return vm
+    return tuple(vm)
 
 
 def _count_cycles(perm) -> int:
@@ -134,17 +136,16 @@ def _count_cycles(perm) -> int:
     return cycles
 
 
-def _latin_cycles(p: Pairing) -> list[list[int]]:
+def _latin_cycles(k: int, pairs) -> list[list[int]]:
     """Cycles of the Latin identification graph, as port lists.
 
     Every port carries exactly one vertex-trace edge and one propagator
     edge, so the graph is a disjoint union of cycles alternating between
     the two edge kinds; each cycle is walked once, alternating P then V.
     """
-    k = p.k
     vm = _vertex_port_involution(k)
     pm = [0] * (8 * k)
-    for x, y in p.pairs():
+    for x, y in pairs:
         pm[2 * x] = 2 * y + 1
         pm[2 * x + 1] = 2 * y
         pm[2 * y] = 2 * x + 1
@@ -204,12 +205,12 @@ class _DSU:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-def _vertex_components(p: Pairing) -> list[list[int]]:
-    dsu = _DSU(p.k)
-    for x, y in p.pairs():
+def _vertex_components(k: int, pairs) -> list[list[int]]:
+    dsu = _DSU(k)
+    for x, y in pairs:
         dsu.union(x // 4, y // 4)
     groups: dict[int, list[int]] = {}
-    for v in range(p.k):
+    for v in range(k):
         groups.setdefault(dsu.find(v), []).append(v)
     return [groups[r] for r in sorted(groups)]
 
@@ -220,8 +221,9 @@ def components_and_genus(p: Pairing) -> LoopReport:
     Raises if any component genus fails to be a non-negative integer;
     that would indicate a tracing bug, not bad input.
     """
-    comps = _vertex_components(p)
-    cycles = _latin_cycles(p)
+    pairs = p.pairs()
+    comps = _vertex_components(p.k, pairs)
+    cycles = _latin_cycles(p.k, pairs)
     C = len(cycles)
     l = trace_greek_loops(p)
     vertex_root = {}
@@ -237,7 +239,7 @@ def components_and_genus(p: Pairing) -> LoopReport:
         if two_p % 2 != 0 or two_p < 0:
             raise InvariantViolation(
                 f"component genus not a non-negative integer: "
-                f"C_c={c_per[ci]}, V_c={len(comp)}, pairing {p.pairs()}")
+                f"C_c={c_per[ci]}, V_c={len(comp)}, pairing {pairs}")
         genus.append(two_p // 2)
     return LoopReport(C=C, l=l, components=len(comps),
                       genus_per_component=tuple(genus))
@@ -245,7 +247,7 @@ def components_and_genus(p: Pairing) -> LoopReport:
 
 def is_tadpole(p: Pairing) -> bool:
     """True iff some propagator joins two legs of the same vertex."""
-    return any(x // 4 == y // 4 for x, y in p.pairs())
+    return any(x // 4 == y // 4 for x, y in enumerate(p.match))
 
 
 def brute_force_index_sum(p: Pairing, N: int, d: int,

@@ -24,12 +24,13 @@ often.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 import re
 
 from .census import representatives
 from .diagrams import Pairing, components_and_genus
 from .errors import ResourceLimitError, StructureError, ValidationError
-from .series import GaussRational, _vertex_prefactor, gauss_rational_json
+from .series import _vertex_prefactor, coeff_json
 
 OVER = "O"
 UNDER = "U"
@@ -164,8 +165,8 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
 
     Each connected planar single-Greek-loop pairing contributes the order-k
     vertex prefactor; multiplicity times coefficient, summed over the list,
-    is the g^k term of F_{1,0}.  ``wick_ordered`` drops tadpole pairings.
-    Returns a list of (GaussCode, multiplicity, GaussRational).
+    is the h^k term of F_{1,0} (h = -ig).  ``wick_ordered`` drops tadpole
+    pairings.  Returns a list of (GaussCode, multiplicity, Fraction).
     """
     if action not in KNOT_ACTIONS:
         raise ValidationError(
@@ -190,11 +191,11 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
     return [(code, mult, pref) for code, mult in counts.items()]
 
 
-def knot_record(k: int, code: GaussCode, coeff: GaussRational) -> dict:
-    """One JSON line of the export; the coefficient as exact fractions."""
+def knot_record(k: int, code: GaussCode, coeff: Fraction) -> dict:
+    """One JSON line of the export; the g^k coefficient as exact fractions."""
     return {
         "k": k,
         "code": code.serialize(),
-        **gauss_rational_json(coeff),
+        **coeff_json(k, coeff),
         "reduced_code": canonical_code(reduce_R1(code)).serialize(),
     }

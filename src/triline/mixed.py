@@ -15,23 +15,32 @@ around each vertex cyclically whatever its arity, Greek cycles pair the two
 legs of each slot.  The resulting series must equal the tadpole-free pure
 assembly order by order; this is a from-scratch check, sharing no code with
 the census fold.
+
+The phase is not assumed either.  Each term counts its quarter-turns from
+its own factors: one i per vertex from c, one per propagator, and one per
+quadratic vertex from c1.  A term i^q x (x real) joins the series, whose
+coefficients are (-i)^k r, as r = i^(q+k) x; an odd q + k would make that
+r imaginary and raises ``InvariantViolation``.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
-from .series import GR_ONE, GR_ZERO, GaussRational, TriSeries, _vertex_prefactor
+from .series import TriSeries
 
 MIXED_KMAX = 3
 
 VERTEX_TYPES = ("quartic", "quadratic", "constant")
 _ARITY = {"quartic": 4, "quadratic": 2, "constant": 0}
 
-# exact counterterm coefficients, before their N/d powers
-_C1 = GaussRational.of(0, -4)   # times N
-_C2 = GaussRational.of(-2)      # times d N^3
+# exact counterterm coefficients before their N/d powers, as
+# (quarter-turns, real factor): c1 = -4i (times N), c2 = -2 (times d N^3)
+_C1 = (1, Fraction(-4))
+_C2 = (0, Fraction(-2))
+_COUPLING = {"action": Fraction(1, 2), "paper_series": Fraction(1)}   # c / i
 
 
 def _legs(types: tuple[str, ...]):
@@ -150,29 +159,30 @@ def counterterm_series(kmax: int, convention: str = "action") -> TriSeries:
     Independent of the census path; used to confirm that the counterterms
     cancel tadpoles exactly.
     """
+    if convention not in _COUPLING:
+        raise ValidationError(f"unknown convention {convention!r}")
     if kmax > MIXED_KMAX:
         raise ResourceLimitError(f"mixed assembly limited to k <= {MIXED_KMAX}")
     out = TriSeries.one(kmax)
     for k in range(1, kmax + 1):
-        pref = _vertex_prefactor(k, convention)
-        # strip the i^{2k}: pair factors are rebuilt per matching below
-        pref = pref * GaussRational.i_power(-2 * k % 4)
         for types in product(VERTEX_TYPES, repeat=k):
             legs = _legs(types)
-            nq = sum(1 for t in types if t == "quadratic")
-            nc = sum(1 for t in types if t == "constant")
-            vweight = GR_ONE
-            for _ in range(nq):
-                vweight = vweight * _C1
-            for _ in range(nc):
-                vweight = vweight * _C2
+            nq, nc = types.count("quadratic"), types.count("constant")
+            # i^turns * real: c/N per vertex (over k!), i per propagator,
+            # c1 per quadratic vertex, c2 per constant vertex
+            turns = k + len(legs) // 2 + nq * _C1[0] + nc * _C2[0]
+            real = (_COUPLING[convention] ** k / math.factorial(k)
+                    * _C1[1] ** nq * _C2[1] ** nc)
+            if (turns + k) % 2:
+                raise InvariantViolation(
+                    f"order-{k} term of vertex types {types} has phase "
+                    f"i^{turns}, not (-i)^{k} times a real number")
+            coeff = real * (-1) ** ((turns + k) // 2)
             # N-powers: +1 per quadratic c1, +3 per constant c2; d: +1 per c2
             n_shift = nq + 3 * nc - k
             d_shift = nc
-            n_pairs = len(legs) // 2
             for match in _ab_matchings(legs):
                 C = _latin_cycles(types, legs, match) if legs else 0
                 l = _greek_cycles(types, legs, match) if legs else 0
-                coeff = pref * vweight * GaussRational.i_power(n_pairs)
                 out._accumulate((k, C + n_shift, l + d_shift), coeff)
     return out

@@ -1,9 +1,12 @@
 """Exact tri-variate formal series: Z, ln Z, genus/link table, F(g).
 
-Coefficients live in the Gaussian rationals (exact rational real and
-imaginary parts); series are maps (g-power k, N-power a, d-power b) ->
-coefficient, truncated at a fixed g-order.  No floating point enters this
-module.
+Series are maps (grade k, N-power a, d-power b) -> coefficient,
+truncated at a fixed g-order.  Every propagator carries i and every vertex
+i times a real coupling, so the g^k coefficient is i^{3k} = (-i)^k times a
+real rational: each series is real in h = -ig.  A coefficient is stored as
+that rational r (a ``Fraction``), the coefficient of h^k; ``re_im`` turns
+(k, r) back into the printed complex (-i)^k r.  Products of series add
+grades, so the ring needs no i.  No floating point enters this module.
 
 The normalized partition series is
 
@@ -11,13 +14,15 @@ The normalized partition series is
 
 with c = i/2 under the ``action`` convention (vertex coupling g/(2N) in
 the exponent exp(i S)) or c = i under the ``paper_series`` convention
-(vertex coupling g/N); the two differ by 2^k at order g^k.  The formal
+(vertex coupling g/N); the two differ by 2^k at order g^k.  As
+c^k i^{2k} = (-i)^k / 2^k or (-i)^k, Z_norm is real in h.  The formal
 logarithm must equal the same sum restricted to connected pairings
 (linked-cluster identity); its coefficients sit on the lattice
 N-power = 2 - 2p, d-power = l >= 1, giving the table F_{l,p}(g).  The
 constant part of the full log-series, d*N*log2 + d*N^2*logpi, is the free
 partition function; F(g) = logpi + F_{1,0}(g) generates connected planar
-single-Greek-loop diagrams, the alternating knot diagrams.
+single-Greek-loop diagrams, the alternating knot diagrams.  In h it is a
+weighted count: F = ln(pi) + h + 2h^2 + 7h^3 + 65/2 h^4 + 898/5 h^5 + ...
 """
 from __future__ import annotations
 
@@ -33,89 +38,33 @@ CONVENTIONS = ("action", "paper_series")
 SERIES_ACTIONS = ("standard", "wick_ordered", "symmetric")
 SYMMETRIC_KMAX = 3
 
-_I_POW = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-@dataclass(frozen=True)
-class GaussRational:
-    """Exact complex number with rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, re=0, im=0) -> "GaussRational":
-        return cls(Fraction(re), Fraction(im))
-
-    @classmethod
-    def i_power(cls, n: int) -> "GaussRational":
-        re, im = _I_POW[n % 4]
-        return cls(Fraction(re), Fraction(im))
-
-    def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, GaussRational):
-            return GaussRational(self.re * other.re - self.im * other.im,
-                                 self.re * other.im + self.im * other.re)
-        q = Fraction(other)
-        return GaussRational(self.re * q, self.im * q)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        q = Fraction(other)
-        return GaussRational(self.re / q, self.im / q)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            mag = "" if abs(self.im) == 1 else str(abs(self.im))
-            sign = "-" if self.im < 0 else ("+" if parts else "")
-            parts.append(f"{sign}{mag}i")
-        return "".join(parts)
-
-
-GR_ZERO = GaussRational()
-GR_ONE = GaussRational.of(1)
-
 Key = tuple[int, int, int]
 CensusTable = dict[int, Census]   # order k -> pairing_census(k)
 
 
 class TriSeries:
-    """Truncated formal series in g (grade), N (any integer power), d (>= 0)."""
+    """Truncated formal series in h = -ig (grade), N (any integer power), d (>= 0).
 
-    def __init__(self, kmax: int, terms: dict[Key, GaussRational] | None = None):
+    ``terms[(k, a, b)]`` is the rational coefficient of h^k N^a d^b; the
+    coefficient of g^k N^a d^b is (-i)^k times it.
+    """
+
+    def __init__(self, kmax: int, terms: dict[Key, Fraction] | None = None):
         if kmax < 0:
             raise ValidationError("kmax must be >= 0")
         self.kmax = kmax
-        self.terms: dict[Key, GaussRational] = {}
+        self.terms: dict[Key, Fraction] = {}
         if terms:
             for key, coeff in terms.items():
                 self._accumulate(key, coeff)
 
-    def _accumulate(self, key: Key, coeff: GaussRational) -> None:
+    def _accumulate(self, key: Key, coeff: Fraction) -> None:
         k, a, b = key
         if k < 0 or b < 0:
             raise ValidationError(f"invalid series key {key}")
         if k > self.kmax or not coeff:
             return
-        new = self.terms.get(key, GR_ZERO) + coeff
+        new = self.terms.get(key, 0) + coeff
         if new:
             self.terms[key] = new
         else:
@@ -123,10 +72,10 @@ class TriSeries:
 
     @classmethod
     def one(cls, kmax: int) -> "TriSeries":
-        return cls(kmax, {(0, 0, 0): GR_ONE})
+        return cls(kmax, {(0, 0, 0): Fraction(1)})
 
-    def constant_term(self) -> GaussRational:
-        return self.terms.get((0, 0, 0), GR_ZERO)
+    def constant_term(self) -> Fraction:
+        return self.terms.get((0, 0, 0), Fraction(0))
 
     def copy(self) -> "TriSeries":
         return TriSeries(self.kmax, dict(self.terms))
@@ -144,8 +93,7 @@ class TriSeries:
         return out
 
     def scale(self, factor) -> "TriSeries":
-        if not isinstance(factor, GaussRational):
-            factor = GaussRational.of(factor)
+        factor = Fraction(factor)
         return TriSeries(self.kmax,
                          {key: coeff * factor for key, coeff in self.terms.items()})
 
@@ -162,17 +110,20 @@ class TriSeries:
                 and self.kmax == other.kmax and self.terms == other.terms)
 
     def __repr__(self) -> str:
-        items = ", ".join(f"g^{k} N^{a} d^{b}: {c}"
+        items = ", ".join(f"h^{k} N^{a} d^{b}: {c}"
                           for (k, a, b), c in sorted(self.terms.items()))
         return f"TriSeries(kmax={self.kmax}, {{{items}}})"
 
 
-def _vertex_prefactor(k: int, convention: str) -> GaussRational:
-    """(c^k / k!) i^{2k} with c = i/2 (action) or i (paper_series)."""
+def _vertex_prefactor(k: int, convention: str) -> Fraction:
+    """(c^k / k!) i^{2k} = (-i)^k r with c = i/2 (action) or i (paper_series).
+
+    Returns r: 1/(2^k k!) or 1/k!.
+    """
     if convention not in CONVENTIONS:
         raise ValidationError(f"unknown convention {convention!r}")
     denom = math.factorial(k) * (2 ** k if convention == "action" else 1)
-    return GaussRational.i_power(3 * k) * Fraction(1, denom)
+    return Fraction(1, denom)
 
 
 def census_table(kmax: int) -> CensusTable:
@@ -192,16 +143,16 @@ def _table_kmax(table: CensusTable) -> int:
 
 
 def _census_terms(k: int, census: Census, convention: str, connected_only: bool,
-                  drop_tadpoles: bool) -> dict[Key, GaussRational]:
+                  drop_tadpoles: bool) -> dict[Key, Fraction]:
     pref = _vertex_prefactor(k, convention)
-    out: dict[Key, GaussRational] = {}
+    out: dict[Key, Fraction] = {}
     for (C, l, conn, tad), count in census.items():
         if connected_only and not conn:
             continue
         if drop_tadpoles and tad:
             continue
         key = (k, C - k, l)
-        out[key] = out.get(key, GR_ZERO) + pref * count
+        out[key] = out.get(key, 0) + pref * count
     return out
 
 
@@ -213,28 +164,26 @@ def check_action_order(action: str, kmax: int) -> None:
 
 
 def _symmetric_terms(k: int, convention: str,
-                     connected_only: bool) -> dict[Key, GaussRational]:
+                     connected_only: bool) -> dict[Key, Fraction]:
     """Order-k terms under the symmetric quadratic form, all pairings.
 
     Per-pair family blocks: same family 2i/3, cross family -i/3 (exact
-    inverse of [[2,1],[1,2]] times i); the product over the 2k propagators
-    replaces the plain i^{2k} of the standard action.
+    inverse of [[2,1],[1,2]] times i).  Each still carries the i of the
+    standard action's propagator, so the real factors 2/3 and -1/3
+    multiply the prefactor.
     """
     check_action_order("symmetric", k)
     pref = _vertex_prefactor(k, convention)
-    # pull out the i^{2k} the prefactor already carries
-    pref = pref * GaussRational.i_power(-2 * k % 4)
-    out: dict[Key, GaussRational] = {}
+    out: dict[Key, Fraction] = {}
     for p in enumerate_matchings(k, mode="all"):
         rep = components_and_genus(p)
         if connected_only and rep.components != 1:
             continue
         same = sum(1 for i, j in p.pairs() if leg_family(i) == leg_family(j))
         cross = 2 * k - same
-        block = (GaussRational.i_power(2 * k)
-                 * Fraction(2 ** same * (-1) ** cross, 3 ** (2 * k)))
+        block = Fraction(2 ** same * (-1) ** cross, 3 ** (2 * k))
         key = (k, rep.C - k, rep.l)
-        out[key] = out.get(key, GR_ZERO) + pref * block
+        out[key] = out.get(key, 0) + pref * block
     return out
 
 
@@ -253,7 +202,7 @@ def _assemble(table: CensusTable, convention: str, action: str,
         for key, coeff in terms.items():
             out._accumulate(key, coeff)
     if connected_only:
-        out._accumulate((0, 0, 0), -GR_ONE)
+        out._accumulate((0, 0, 0), Fraction(-1))
     return out
 
 
@@ -275,7 +224,7 @@ def connected_assemble(table: CensusTable, convention: str = "action",
 
 def formal_log(s: TriSeries) -> TriSeries:
     """log(1 + u) = sum (-1)^{m+1} u^m / m, truncated at s.kmax."""
-    if s.constant_term() != GR_ONE:
+    if s.constant_term() != 1:
         raise ValidationError("formal_log requires constant term exactly 1")
     u = s - TriSeries.one(s.kmax)
     out = TriSeries(s.kmax)
@@ -289,20 +238,20 @@ def formal_log(s: TriSeries) -> TriSeries:
 
 @dataclass
 class FlpTable:
-    """Genus/link table: (l >= 1, p >= 0) -> polynomial in g."""
+    """Genus/link table: (l >= 1, p >= 0) -> polynomial in h = -ig."""
 
     kmax: int
-    table: dict[tuple[int, int], dict[int, GaussRational]] = field(default_factory=dict)
+    table: dict[tuple[int, int], dict[int, Fraction]] = field(default_factory=dict)
 
-    def add(self, l: int, p: int, k: int, coeff: GaussRational) -> None:
+    def add(self, l: int, p: int, k: int, coeff: Fraction) -> None:
         poly = self.table.setdefault((l, p), {})
-        new = poly.get(k, GR_ZERO) + coeff
+        new = poly.get(k, 0) + coeff
         if new:
             poly[k] = new
         else:
             poly.pop(k, None)
 
-    def poly(self, l: int, p: int) -> dict[int, GaussRational]:
+    def poly(self, l: int, p: int) -> dict[int, Fraction]:
         return dict(self.table.get((l, p), {}))
 
 
@@ -324,23 +273,22 @@ def extract_Flp(lnz_norm: TriSeries) -> FlpTable:
 
 @dataclass
 class FSeries:
-    """F(g) = ln(pi) + F_{1,0}(g): symbolic constant plus exact polynomial."""
+    """F(g) = ln(pi) + F_{1,0}(g): symbolic constant plus exact polynomial in h."""
 
     kmax: int
-    coeffs: dict[int, GaussRational]
+    coeffs: dict[int, Fraction]
 
     def render(self) -> str:
+        """F in g, each coefficient (-i)^k r as a signed rational or imaginary."""
         parts = ["ln(pi)"]
         for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            if not c:
+            if not self.coeffs[k]:
                 continue
+            re, im = re_im(k, self.coeffs[k])
+            mag = str(abs(re)) if re else ("" if abs(im) == 1 else str(abs(im)))
             mono = "g" if k == 1 else f"g^{k}"
-            s = str(c)
-            if s.startswith("-"):
-                parts.append(f"- {s[1:]}*{mono}")
-            else:
-                parts.append(f"+ {s}*{mono}")
+            parts.append(f"{'-' if (re or im) < 0 else '+'} {mag}"
+                         f"{'' if re else 'i'}*{mono}")
         return " ".join(parts)
 
 
@@ -362,7 +310,7 @@ def double_limit_check(series: TriSeries) -> bool:
     series: its limit is the fixed ln(pi) that ``F_of_g`` carries, so it
     needs no check.
     """
-    limit_coeffs: dict[int, GaussRational] = {}
+    limit_coeffs: dict[int, Fraction] = {}
     for (k, a, b), coeff in series.terms.items():
         if b < 1:
             raise StructureError(f"term g^{k} N^{a} d^{b} has d-power < 1")
@@ -371,7 +319,7 @@ def double_limit_check(series: TriSeries) -> bool:
             raise StructureError(
                 f"term g^{k} N^{a} d^{b} survives the large-N limit unboundedly")
         if a2 == 0 and b2 == 0:
-            limit_coeffs[k] = limit_coeffs.get(k, GR_ZERO) + coeff
+            limit_coeffs[k] = limit_coeffs.get(k, 0) + coeff
     f = F_of_g(extract_Flp(series))
     limit_coeffs = {k: c for k, c in limit_coeffs.items() if c}
     target = {k: c for k, c in f.coeffs.items() if c}
@@ -390,18 +338,24 @@ def planar_loop_counts(table: CensusTable) -> dict[int, int]:
             for k in range(1, _table_kmax(table) + 1)}
 
 
-def gauss_rational_json(c: GaussRational) -> dict:
-    return {
-        "re_num": c.re.numerator, "re_den": c.re.denominator,
-        "im_num": c.im.numerator, "im_den": c.im.denominator,
-    }
+def re_im(k: int, r: Fraction) -> tuple[Fraction, Fraction]:
+    """The g^k coefficient (-i)^k r as its (real, imaginary) parts."""
+    signed = r if k % 4 in (0, 3) else -r
+    return (signed, Fraction(0)) if k % 2 == 0 else (Fraction(0), signed)
+
+
+def coeff_json(k: int, r: Fraction) -> dict:
+    """The g^k coefficient (-i)^k r as exact numerator/denominator fields."""
+    re, im = re_im(k, r)
+    return {"re_num": re.numerator, "re_den": re.denominator,
+            "im_num": im.numerator, "im_den": im.denominator}
 
 
 def series_to_json(s: TriSeries, convention: str) -> dict:
     terms = []
     for (k, a, b) in sorted(s.terms):
         entry = {"k": k, "n_pow": a, "d_pow": b}
-        entry.update(gauss_rational_json(s.terms[(k, a, b)]))
+        entry.update(coeff_json(k, s.terms[(k, a, b)]))
         terms.append(entry)
     return {"convention": convention, "kmax": s.kmax, "terms": terms}
 
@@ -412,7 +366,7 @@ def flp_to_json(t: FlpTable) -> dict:
         poly = t.table[(l, p)]
         entries.append({
             "l": l, "p": p,
-            "terms": [dict(k=k, **gauss_rational_json(poly[k]))
+            "terms": [dict(k=k, **coeff_json(k, poly[k]))
                       for k in sorted(poly)],
         })
     return {"kmax": t.kmax, "entries": entries}
@@ -423,7 +377,7 @@ def f_to_json(f: FSeries) -> dict:
         "kmax": f.kmax,
         "logpi_num": 1,
         "logpi_den": 1,
-        "terms": [dict(k=k, **gauss_rational_json(f.coeffs[k]))
+        "terms": [dict(k=k, **coeff_json(k, f.coeffs[k]))
                   for k in sorted(f.coeffs) if f.coeffs[k]],
         "rendered": f.render(),
     }

@@ -1,4 +1,5 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
+import hashlib
 import json
 import os
 import shlex
@@ -139,6 +140,67 @@ def test_outputs_thread_independent(tmp_path):
     assert run(["expand", "--kmax", "2", "--threads", "1", "--out", str(a)]) == 0
     assert run(["expand", "--kmax", "2", "--threads", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of each machine output: the bytes the ROADMAP keeps identical
+GOLDEN_OUTPUTS = [
+    ("expand --kmax 5 --convention action --action standard --format json",
+     "d9dc73845d6a9818b92a870602e82361d639ef1fecb7a7a8b66ddd2d72da91e0"),
+    ("expand --kmax 5 --convention action --action standard --format csv",
+     "3e3f2b2600811460fad046f60211b87a42e699fc9196a169fd57c7b38772a989"),
+    ("expand --kmax 5 --convention paper_series --action standard --format json",
+     "f7b18c0ad58c4fecbad0c2cbd9bd935e8bfd6b2acb8c351908dab96ad9f0cf5b"),
+    ("expand --kmax 5 --convention paper_series --action standard --format csv",
+     "9feba059ebadfbf65cbe9a9fb8c555707d068624f7d923ca93adee71a17a167c"),
+    ("expand --kmax 5 --convention action --action wick_ordered --format json",
+     "32bd0cb9c347d588e71ef3a1b9189588964465ade319e9aa8cdb509b6bc26740"),
+    ("expand --kmax 5 --convention action --action wick_ordered --format csv",
+     "2e33ccc92d811f126ca4b4014183af79ebae8b978e8bec2d74e65ec5d880ed8b"),
+    ("expand --kmax 5 --convention paper_series --action wick_ordered "
+     "--format json",
+     "1a99cb37fd7ed98d547d2dee4a93ebfcb8bf3b4ac598153907931577a39c6f67"),
+    ("expand --kmax 5 --convention paper_series --action wick_ordered "
+     "--format csv",
+     "39ce27a0f30b5449ba1c68d529c9c6117b32a35d7e5747c688c76cbbbd137fff"),
+    ("expand --kmax 3 --convention action --action symmetric --format json",
+     "be2a7945b5622e4ed556a5adb1f4aacbbb6b0f98f170bf5dcfe562e8fbae6f77"),
+    ("expand --kmax 3 --convention action --action symmetric --format csv",
+     "f27f22dbaa7d676de0718bcfd075330efdd6c807083b1ec88b9bd26a6cf48030"),
+    ("expand --kmax 3 --convention paper_series --action symmetric --format json",
+     "2a095ce310b614340c30c974650dc1a6b197f5189139017fcbda21714c52ab0a"),
+    ("expand --kmax 3 --convention paper_series --action symmetric --format csv",
+     "440a421f0650d8a4254394d8a0d93e666e30b5d77f62d85a56254b09633644f0"),
+    ("knots --kmax 4 --action standard",
+     "aed86d58dca53a4446d2fca2d086636338d171cedb3c46ca36921754156e4d16"),
+    ("knots --kmax 4 --action wick_ordered",
+     "e586c3fbab3d007f3a1a88b8f7c73d8f835324ed5298e46f4808823e10ccb5f2"),
+]
+# (convention, action) -> the F(g) that expand prints on stderr
+GOLDEN_F = {
+    ("action", "standard"):
+        "ln(pi) - i*g - 2*g^2 + 7i*g^3 + 65/2*g^4 - 898/5i*g^5",
+    ("paper_series", "standard"):
+        "ln(pi) - 2i*g - 8*g^2 + 56i*g^3 + 520*g^4 - 28736/5i*g^5",
+    ("action", "wick_ordered"): "ln(pi) + 1/3i*g^3 + 1/2*g^4 - 6/5i*g^5",
+    ("paper_series", "wick_ordered"): "ln(pi) + 8/3i*g^3 + 8*g^4 - 192/5i*g^5",
+    ("action", "symmetric"): "ln(pi) - 1/9i*g - 10/81*g^2 + 151/729i*g^3",
+    ("paper_series", "symmetric"):
+        "ln(pi) - 2/9i*g - 40/81*g^2 + 1208/729i*g^3",
+}
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_OUTPUTS)
+def test_golden_outputs(argv, digest, tmp_path, capsys):
+    words = argv.split()
+    out = tmp_path / "out"
+    assert run(words + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if words[0] == "expand":
+        opt = dict(zip(words[1::2], words[2::2]))
+        conv, action = opt["--convention"], opt["--action"]
+        assert capsys.readouterr().err == (
+            f"F(g) = {GOLDEN_F[conv, action]}   [convention={conv}, "
+            f"action={action}, kmax={opt['--kmax']}]\n")
 
 
 def test_verify_suites_pass():

@@ -1,4 +1,5 @@
-"""The package's import-time behaviour: what it loads and its environment."""
+"""The package's import-time behaviour, its environment and its source rules."""
+import ast
 import os
 import subprocess
 import sys
@@ -43,3 +44,13 @@ def test_import_starts_no_blas_threads():
     show = ("import os, triline.oracle; "
             "print(len(os.listdir('/proc/self/task')))")
     assert _fresh(show) == "1"
+
+
+def test_source_has_no_bare_assert():
+    # internal checks raise the package's errors: an assert vanishes under -O
+    paths = sorted(Path(triline.__file__).parent.glob("*.py"))
+    assert "series.py" in {path.name for path in paths}
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

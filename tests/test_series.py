@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triline.errors import (ResourceLimitError, StructureError, ValidationError)
+from triline import mixed
+from triline.errors import (InvariantViolation, ResourceLimitError,
+                            StructureError, ValidationError)
 from triline.mixed import counterterm_series
 from triline.oracle import gaussian_oracle_moment, richardson_limit
-from triline.series import (F_of_g, FlpTable, GaussRational, TriSeries,
-                            assemble_Z, census_table, connected_assemble,
+from triline.series import (F_of_g, FlpTable, TriSeries, assemble_Z,
+                            census_table, coeff_json, connected_assemble,
                             double_limit_check, extract_Flp, f_to_json,
-                            flp_to_json, formal_log,
-                            gauss_rational_json, planar_loop_counts,
+                            flp_to_json, formal_log, planar_loop_counts, re_im,
                             series_to_json)
-
-GR = GaussRational.of
 
 
 def formal_exp(s: TriSeries) -> TriSeries:
@@ -38,32 +37,30 @@ def reconstruct(table: FlpTable) -> TriSeries:
                                   for k, coeff in poly.items()})
 
 
-def test_gauss_rational_arithmetic():
-    a = GR(Fraction(1, 2), Fraction(-3, 4))
-    b = GR(2, 1)
-    assert a + b == GR(Fraction(5, 2), Fraction(1, 4))
-    assert a * b == GR(Fraction(7, 4), Fraction(-1))
-    assert -a == GR(Fraction(-1, 2), Fraction(3, 4))
-    assert a / 2 == GR(Fraction(1, 4), Fraction(-3, 8))
-    assert GaussRational.i_power(3) == GR(0, -1)
-    assert GaussRational.i_power(-2) == GR(-1)
-    assert str(GR(0, -1)) == "-i"
-    assert str(GR(2, 3)) == "2+3i"
-    assert str(GR(0, 0)) == "0"
+def printed(s: TriSeries) -> dict:
+    """Each term's g-coefficient (re, im), as the machine output writes it."""
+    return {key: re_im(key[0], c) for key, c in s.terms.items()}
+
+
+def test_re_im_turns_h_grades_into_g_coefficients():
+    # the g^k coefficient of r h^k is (-i)^k r
+    r = Fraction(3, 2)
+    assert [re_im(k, r) for k in range(5)] == [
+        (r, 0), (0, -r), (-r, 0), (0, r), (r, 0)]
 
 
 def test_z_series_frozen_coefficients():
     z = assemble_Z(census_table(2))
-    assert z.terms == {
-        (0, 0, 0): GR(1),
-        (1, 2, 1): GR(0, -1),
-        (2, 0, 2): GR(Fraction(-1, 4)),
-        (2, 2, 1): GR(-2),
-        (2, 2, 2): GR(Fraction(-1, 4)),
-        (2, 4, 2): GR(Fraction(-1, 2)),
+    assert printed(z) == {
+        (0, 0, 0): (1, 0),
+        (1, 2, 1): (0, -1),
+        (2, 0, 2): (Fraction(-1, 4), 0),
+        (2, 2, 1): (-2, 0),
+        (2, 2, 2): (Fraction(-1, 4), 0),
+        (2, 4, 2): (Fraction(-1, 2), 0),
     }
     zp = assemble_Z(census_table(1), convention="paper_series")
-    assert zp.terms[(1, 2, 1)] == GR(0, -2)
+    assert printed(zp)[(1, 2, 1)] == (0, -2)
 
 
 def test_linked_cluster_exact():
@@ -89,7 +86,7 @@ def test_formal_exp_inverts_log():
 
 def test_formal_log_requires_unit_constant():
     with pytest.raises(ValidationError):
-        formal_log(TriSeries(2, {(1, 0, 1): GR(1)}))
+        formal_log(TriSeries(2, {(1, 0, 1): Fraction(1)}))
     with pytest.raises(ValidationError):
         formal_exp(TriSeries.one(2))
 
@@ -100,30 +97,28 @@ def test_flp_lattice_and_f_values():
     assert reconstruct(table) == lnz
     f = F_of_g(table)
     assert f.render() == "ln(pi) - i*g - 2*g^2 + 7i*g^3"
-    assert f.coeffs[1] == GR(0, -1)
-    assert f.coeffs[2] == GR(-2)
-    assert f.coeffs[3] == GR(0, 7)
+    assert [re_im(k, f.coeffs[k]) for k in (1, 2, 3)] == [
+        (0, -1), (-2, 0), (0, 7)]
     fp = F_of_g(extract_Flp(connected_assemble(census_table(3),
                                                convention="paper_series")))
-    assert fp.coeffs[1] == GR(0, -2)
-    assert fp.coeffs[2] == GR(-8)
-    assert fp.coeffs[3] == GR(0, 56)
+    assert [re_im(k, fp.coeffs[k]) for k in (1, 2, 3)] == [
+        (0, -2), (-8, 0), (0, 56)]
 
 
 def test_flp_genus_one_entry():
     # the crossing ladder at k=2 sits at N-power 0: genus 1, one Greek loop...
     table = extract_Flp(connected_assemble(census_table(2)))
     poly = table.poly(2, 1)
-    assert poly[2] == GR(Fraction(-1, 4))
+    assert re_im(2, poly[2]) == (Fraction(-1, 4), 0)
 
 
 def test_extract_flp_rejects_off_lattice():
     with pytest.raises(StructureError):
-        extract_Flp(TriSeries(2, {(1, 3, 1): GR(1)}))
+        extract_Flp(TriSeries(2, {(1, 3, 1): Fraction(1)}))
     with pytest.raises(StructureError):
-        extract_Flp(TriSeries(2, {(1, 1, 1): GR(1)}))
+        extract_Flp(TriSeries(2, {(1, 1, 1): Fraction(1)}))
     with pytest.raises(StructureError):
-        extract_Flp(TriSeries(2, {(1, 2, 0): GR(1)}))
+        extract_Flp(TriSeries(2, {(1, 2, 0): Fraction(1)}))
 
 
 def test_double_limit():
@@ -131,7 +126,7 @@ def test_double_limit():
     assert double_limit_check(connected_assemble(table)) is True
     assert double_limit_check(connected_assemble(table, "paper_series")) is True
     bad = connected_assemble(census_table(2))
-    bad._accumulate((1, 4, 1), GR(1))
+    bad._accumulate((1, 4, 1), Fraction(1))
     with pytest.raises(StructureError):
         double_limit_check(bad)
 
@@ -160,6 +155,14 @@ def test_mixed_cap():
         counterterm_series(4)
 
 
+def test_mixed_refuses_a_term_off_the_grading(monkeypatch):
+    # c1 = -4iN without its i: order-g terms with a quadratic vertex are real
+    # in g, so not (-i)^k times a real number
+    monkeypatch.setattr(mixed, "_C1", (0, mixed._C1[1]))
+    with pytest.raises(InvariantViolation):
+        counterterm_series(1)
+
+
 def test_symmetric_assembly_first_order_against_oracle():
     # order-g coefficient of Z under the symmetric quadratic form implies
     # E[sum Tr(ABAB)] = -2N(2d^2 + N^2 d)/9; confirm numerically
@@ -167,7 +170,7 @@ def test_symmetric_assembly_first_order_against_oracle():
     z = assemble_Z(census_table(1), action="symmetric")
     for N, d in ((2, 1), (1, 2)):
         implied = -2j * N * sum(
-            complex(c.re + 1j * c.im) * N ** a * d ** b
+            complex(*map(float, re_im(k, c))) * N ** a * d ** b
             for (k, a, b), c in z.terms.items() if k == 1)
         def tr_q(eps, N=N, d=d):
             total = 0j
@@ -213,25 +216,18 @@ def test_series_json_schema():
     assert {e["l"] for e in fj["entries"]} <= {1, 2}
     ff = f_to_json(F_of_g(table))
     assert ff["logpi_num"] == 1 and ff["rendered"].startswith("ln(pi)")
-    assert gauss_rational_json(GR(Fraction(1, 3), -2)) == {
-        "re_num": 1, "re_den": 3, "im_num": -2, "im_den": 1}
+    assert coeff_json(3, Fraction(-2, 3)) == {
+        "re_num": 0, "re_den": 1, "im_num": -2, "im_den": 3}
+    assert coeff_json(2, Fraction(1, 3)) == {
+        "re_num": -1, "re_den": 3, "im_num": 0, "im_den": 1}
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-gauss_rats = st.builds(lambda r, i: GaussRational(r, i), small_fracs, small_fracs)
-
-
-@settings(max_examples=50, deadline=None)
-@given(gauss_rats, gauss_rats, gauss_rats)
-def test_gauss_rational_ring_laws(a, b, c):
-    assert (a + b) * c == a * c + b * c
-    assert a * (b * c) == (a * b) * c
-    assert a + b == b + a and a * b == b * a
 
 
 def small_series():
     keys = st.tuples(st.integers(1, 2), st.integers(-2, 2), st.integers(1, 2))
-    return st.dictionaries(keys, gauss_rats, max_size=3).map(
+    return st.dictionaries(keys, small_fracs, max_size=3).map(
         lambda terms: TriSeries.one(3) + TriSeries(3, terms))
 
 
