@@ -57,9 +57,9 @@ from __future__ import annotations
 
 import math
 
-from .diagrams import DEFAULT_KMAX
 from .errors import InvariantViolation, ResourceLimitError
 
+DEFAULT_KMAX = 7      # the census's order cap, and so --kmax's
 Census = dict[tuple[int, int, bool, bool], int]
 Key = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]   # M2, M3, bv
 Value = dict[tuple[int, int, int, bool], int]   # (C, l, openings, tad) -> weight

@@ -20,16 +20,15 @@ import json
 import random
 import sys
 
-from .census import Census, representatives
-from .diagrams import DEFAULT_KMAX, Pairing, components_and_genus, is_tadpole
+from .census import DEFAULT_KMAX, Census, representatives
+from .diagrams import Pairing, components_and_genus, is_tadpole
 from .errors import (InvariantViolation, ResourceLimitError, StructureError,
                      ValidationError)
-from .knots import (KNOT_ACTIONS, KNOTS_KMAX, enumerate_knot_diagrams,
-                    knot_record)
+from .knots import KNOTS_KMAX, enumerate_knot_diagrams, knot_record
 from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, assemble_Z,
-                     census_table, check_action_order, connected_assemble,
-                     double_limit_check, extract_Flp, f_to_json, flp_to_json,
-                     formal_log, planar_loop_counts, series_to_json)
+                     census_table, connected_assemble, double_limit_check,
+                     extract_Flp, f_to_json, flp_to_json, formal_log,
+                     planar_loop_counts, series_to_json)
 
 _RECORD_COPIES = 512    # knot record copies per chunk; k = 5 has 61,440 of one
 
@@ -120,7 +119,6 @@ def _note(msg: str) -> None:
 
 
 def _expand_payload(args: argparse.Namespace) -> dict:
-    check_action_order(args.action, args.kmax)
     censuses = census_table(args.kmax)
     z = assemble_Z(censuses, args.convention, args.action)
     lnz = formal_log(z)
@@ -267,7 +265,7 @@ def _verify_euler(args: argparse.Namespace, failures: list[str]) -> None:
     # moves are the frontier's (the independent row generator, checked
     # against the frontier for every k <= 7, is tests/row_census.py): each
     # row's key against the walk's, then the weighted fold against the
-    # census; --out gets the pairings it could not trace
+    # census; --out, written on every run, gets the untraceable pairings
     failure_records: list[dict] = []
     censuses = census_table(args.kmax)
     for k in range(1, args.kmax + 1):
@@ -295,7 +293,7 @@ def _verify_euler(args: argparse.Namespace, failures: list[str]) -> None:
             failures.append(f"k={k}: weighted reference fold != census")
         _note(f"euler k={k}: {reps} representatives, "
               f"total weight {sum(fold.values())}")
-    if failure_records and args.out:
+    if args.out:
         _emit(args, (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
                      for r in failure_records))
 
@@ -352,14 +350,11 @@ SUITES = {
     "propagators": (_verify_propagators, ("N", "d")),
     "bound": (_verify_bound, ("N", "d", "eps")),
 }
-# (command, flag) -> options narrowing that flag's _FLAGS entry
-_NARROWED = {("knots", "action"): {"choices": KNOT_ACTIONS}}
 
 
-def _add_flags(parser, name: str, reads: tuple[str, ...], **defaults) -> None:
+def _add_flags(parser, reads: tuple[str, ...], **defaults) -> None:
     for flag in reads:
-        options = {**_FLAGS[flag], **_NARROWED.get((name, flag), {})}
-        parser.add_argument(f"--{flag}", **options)
+        parser.add_argument(f"--{flag}", **_FLAGS[flag])
     parser.add_argument("--config", metavar="FILE",
                         help="key = value file; command-line flags take precedence")
     parser.set_defaults(reads=reads, **defaults)
@@ -372,12 +367,12 @@ def make_parser() -> argparse.ArgumentParser:
                     "matrix model: series, diagram census, knot-diagram export.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, reads) in COMMANDS.items():
-        _add_flags(sub.add_parser(name, help=handler.__doc__), name, reads,
+        _add_flags(sub.add_parser(name, help=handler.__doc__), reads,
                    handler=handler)
     verify = sub.add_parser("verify", help="Run an invariant suite.")
     suites = verify.add_subparsers(dest="suite", required=True)
     for name, (check, reads) in SUITES.items():
-        _add_flags(suites.add_parser(name), name, reads, handler=cmd_verify,
+        _add_flags(suites.add_parser(name), reads, handler=cmd_verify,
                    check=check)
     return parser
 

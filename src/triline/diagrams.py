@@ -1,4 +1,4 @@
-"""Quartic-vertex pairing enumeration, triple-line loop tracing, genus.
+"""The reference tracer: triple-line loops, components and genus of a pairing.
 
 Each of the k vertices carries four legs in cyclic order A, B, A, B; leg
 ids are 0..4k-1 with vertex = id // 4 and position = id % 4.  A diagram is
@@ -23,6 +23,9 @@ the cycle count of the composed permutation.
 ``brute_force_index_sum`` is the in-module oracle: it sums the product of
 propagator index deltas over explicit Latin/Greek index assignments and
 must reproduce i^{2k} N^C d^l.
+
+``verify euler`` traces every census row with this module; the tests also
+run it over every labeled pairing (``tests/unreduced.py``).
 """
 from __future__ import annotations
 
@@ -32,12 +35,7 @@ from itertools import product
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 
-DEFAULT_KMAX = 7
 BRUTE_FORCE_ENUM_LIMIT = 400_000
-
-
-def leg_family(leg_id: int) -> str:
-    return "A" if leg_id % 2 == 0 else "B"
 
 
 @dataclass(frozen=True)
@@ -72,40 +70,6 @@ class Pairing:
     def pairs(self) -> list[tuple[int, int]]:
         """Sorted (min, max) pairs; canonical order for records."""
         return [(i, j) for i, j in enumerate(self.match) if i < j]
-
-
-def enumerate_matchings(k: int, mode: str = "ab_only"):
-    """Stream all pairings at order k, lexicographic on the involution.
-
-    ``ab_only`` restricts partners to the opposite family ((2k)! pairings,
-    the only ones surviving the standard-action propagator); ``all`` yields
-    every perfect matching ((4k-1)!! pairings).
-    """
-    if mode not in ("ab_only", "all"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if not 1 <= k <= DEFAULT_KMAX:
-        raise ResourceLimitError(f"k={k} outside enumeration range 1..{DEFAULT_KMAX}")
-    n = 4 * k
-    match = [-1] * n
-
-    def rec(start):
-        while start < n and match[start] != -1:
-            start += 1
-        if start == n:
-            yield Pairing(k, tuple(match))
-            return
-        for j in range(start + 1, n):
-            if match[j] != -1:
-                continue
-            if mode == "ab_only" and leg_family(j) == leg_family(start):
-                continue
-            match[start] = j
-            match[j] = start
-            yield from rec(start + 1)
-            match[start] = -1
-            match[j] = -1
-
-    yield from rec(0)
 
 
 @cache

@@ -25,23 +25,11 @@ import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .cosbasis import MatrixPair
 from .errors import InvariantViolation, ValidationError
-
-ACTION_STANDARD = "standard"
-ACTION_SYMMETRIC = "symmetric"
-ACTIONS = (ACTION_STANDARD, ACTION_SYMMETRIC)
-
-# Per-scalar-pair coupling matrices of the quadratic action part, in the
-# (a, b) = (A-coordinate, B-coordinate) ordering.
-ACTION_QUAD = {
-    ACTION_STANDARD: ((0, 1), (1, 0)),
-    ACTION_SYMMETRIC: ((2, 1), (1, 2)),
-}
 
 
 @dataclass(frozen=True)
@@ -209,54 +197,6 @@ def wick_moment(entries) -> complex:
             prod *= v
         total += prod
     return total
-
-
-def _invert_2x2_exact(m) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    (a, b), (c, d) = m
-    det = Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
-    if det == 0:
-        raise InvariantViolation("quadratic coupling matrix is singular")
-    return ((Fraction(d) / det, -Fraction(b) / det),
-            (-Fraction(c) / det, Fraction(a) / det))
-
-
-@dataclass(frozen=True)
-class PropagatorMatrix:
-    """Family-block second moments sharing one index delta pattern.
-
-    ``blocks[i][j]`` is the scalar covariance of family i with family j
-    (0 = A, 1 = B); the index pattern is always the row<->col swap
-    delta^{kn} delta^{lm} together with the Greek delta_{mu nu}.
-    """
-
-    blocks: tuple[tuple[complex, complex], tuple[complex, complex]]
-    pattern: str = "swap"
-
-    def __post_init__(self):
-        if self.blocks[0][1] != self.blocks[1][0]:
-            raise ValidationError("blocks must be symmetric under family swap")
-
-    def value(self, x: EntrySymbol, y: EntrySymbol) -> complex:
-        if not _delta_pattern(x, y):
-            return 0.0 + 0.0j
-        fx = 0 if x.family == "A" else 1
-        fy = 0 if y.family == "A" else 1
-        return self.blocks[fx][fy]
-
-
-def general_propagators(action: str = ACTION_STANDARD) -> PropagatorMatrix:
-    """Limit propagator blocks for a supported quadratic action.
-
-    The quadratic part couples each scalar coordinate pair (a, b) through a
-    2x2 integer matrix M; the oscillatory Gaussian exp(i/2 x^T M x) has
-    covariance i M^{-1}.  Standard M = [[0,1],[1,0]] gives the pure
-    off-diagonal i; the symmetric variant M = [[2,1],[1,2]] mixes families.
-    """
-    if action not in ACTIONS:
-        raise ValidationError(f"unsupported action {action!r}")
-    inv = _invert_2x2_exact(ACTION_QUAD[action])
-    blocks = tuple(tuple(complex(0, float(v)) for v in row) for row in inv)
-    return PropagatorMatrix(blocks=blocks)
 
 
 @functools.lru_cache(maxsize=1)

@@ -16,10 +16,10 @@ vertex 0 and its orientation, and relabeling or half-turning the other
 vertices leaves its canonical code unchanged.  The walk stops at a second
 opening and at a Greek loop closed early, so it yields only connected
 single-loop rows, and the export keeps those of genus 0 and walks their
-strands; ``to_gauss_code``, the reference the export is tested against,
-walks the legs of a ``Pairing`` checked by the tracer in ``diagrams``.
-A code's multiplicity sums its class weights; ``knots`` writes it that
-often.
+strands.  The reference the export is tested against, a walk over the legs
+of every labeled pairing checked by the tracer in ``diagrams``, lives with
+the tests (``tests/unreduced.py``).  A code's multiplicity sums its class
+weights; ``knots`` writes it that often.
 """
 from __future__ import annotations
 
@@ -28,9 +28,8 @@ from fractions import Fraction
 import re
 
 from .census import representatives
-from .diagrams import Pairing, components_and_genus
 from .errors import ResourceLimitError, StructureError, ValidationError
-from .series import _vertex_prefactor, coeff_json
+from .series import SERIES_ACTIONS, _vertex_prefactor, coeff_json
 
 OVER = "O"
 UNDER = "U"
@@ -81,30 +80,6 @@ class GaussCode:
         return self.serialize()
 
 
-def to_gauss_code(p: Pairing) -> GaussCode:
-    """Walk the single Greek strand of a connected planar pairing.
-
-    Crossing id is the 1-based vertex; passage is over on A-positions and
-    under on B-positions.  Refuses pairings that are disconnected, have
-    more than one Greek loop, or positive genus.
-    """
-    rep = components_and_genus(p)
-    problems = []
-    if rep.components != 1:
-        problems.append(f"{rep.components} components")
-    if rep.l != 1:
-        problems.append(f"{rep.l} Greek loops")
-    if any(g > 0 for g in rep.genus_per_component):
-        problems.append(f"genus {max(rep.genus_per_component)}")
-    if problems:
-        raise StructureError("not a knot shadow: " + ", ".join(problems))
-    entries, cur = [], 0
-    for _ in range(2 * p.k):
-        entries.append((cur // 4 + 1, OVER if cur % 2 == 0 else UNDER))
-        cur = p.match[cur] ^ 2      # partner leg, then straight through
-    return GaussCode(tuple(entries))
-
-
 def _strand_walk(bp) -> tuple[tuple[int, str], ...]:
     """Gauss code entries of an ab row known to be a knot shadow: from
     A-index a over crossing a // 2 + 1 to B-index b = bp[a] ^ 1, under
@@ -118,14 +93,6 @@ def _strand_walk(bp) -> tuple[tuple[int, str], ...]:
     if a != 0:
         raise StructureError("strand walk failed to close after 2k steps")
     return tuple(entries)
-
-
-def alternating_check(c: GaussCode) -> bool:
-    """True iff passages strictly alternate over/under cyclically."""
-    n = len(c.entries)
-    if n == 0:
-        return True
-    return all(c.entries[i][1] != c.entries[(i + 1) % n][1] for i in range(n))
 
 
 def reduce_R1(c: GaussCode) -> GaussCode:
@@ -156,7 +123,6 @@ def canonical_code(c: GaussCode) -> GaussCode:
 
 TREFOIL = GaussCode.parse("O1U2O3U1O2U3")
 KNOTS_KMAX = 5    # one line per labeled pairing: k = 6 would be 51,440,640
-KNOT_ACTIONS = ("standard", "wick_ordered")    # the actions with a knot reading
 
 
 def enumerate_knot_diagrams(k: int, convention: str = "action",
@@ -168,10 +134,8 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
     is the h^k term of F_{1,0} (h = -ig).  ``wick_ordered`` drops tadpole
     pairings.  Returns a list of (GaussCode, multiplicity, Fraction).
     """
-    if action not in KNOT_ACTIONS:
-        raise ValidationError(
-            "knot export is defined for the standard quartic; the symmetric "
-            "quadratic form mixes in same-family pairings with no knot reading")
+    if action not in SERIES_ACTIONS:
+        raise ValidationError(f"unknown action {action!r}")
     if not 0 <= k <= KNOTS_KMAX:
         raise ResourceLimitError(f"knot export k={k} outside 0..{KNOTS_KMAX}")
     if k == 0:

@@ -13,7 +13,9 @@ algebra:
 * normalization: (2 pi)^{n/2} / sqrt(det M);
 * characteristic function: normalization * exp(-1/2 j^T Sigma j).
 
-This channel never touches the pairing rules of ``gaussian``; agreement
+The weight's one quadratic form, i Tr(A_mu B_mu), pairs each A coordinate
+with its B twin; the oracle holds that coupling itself and takes only
+``validate_entries`` from ``gaussian``, never its pairing rules.  Agreement
 between the two is the main verification device of the package.  Limits
 eps -> 0 are taken by polynomial extrapolation along a geometric
 eps-sequence (``richardson_limit``).
@@ -28,9 +30,10 @@ import numpy as np
 from .cosbasis import (FAMILIES, KIND_DIAG, KIND_IM, KIND_RE, MatrixPair,
                        cos_basis)
 from .errors import InvariantViolation, ValidationError
-from .gaussian import ACTION_QUAD, ACTION_STANDARD, ACTIONS, validate_entries
+from .gaussian import validate_entries
 
 _RESIDUAL_TOL = 1e-10
+_COUPLING = ((0, 1), (1, 0))    # i Tr(A_mu B_mu) per coordinate pair
 
 
 def _position(family: str, mu: int, k: int, l: int, N: int, d: int) -> int:
@@ -56,7 +59,7 @@ class OracleCovariance:
     Coordinates are the orthogonal-basis tags of ``cos_basis``, family A's
     block first and family B's in the same order.  The coupling pairs each A
     coordinate with its B twin: M = kron(block, diag(s)), block = eps * I -
-    i * M_q for the per-pair quadratic form M_q of the action, s = 1 for
+    i * [[0, 1], [1, 0]] from i Tr(A_mu B_mu), s = 1 for
     diagonal coordinates and 2 for off-diagonal ones (they appear twice in
     each trace), so Sigma = kron(block^{-1}, diag(1/s)).  ``cov = C Sigma
     C^T`` holds the second moment of every pair of matrix entries in
@@ -64,23 +67,19 @@ class OracleCovariance:
     two terms, with coefficients 1 and +-i.
     """
 
-    def __init__(self, N: int, d: int, epsilon: float,
-                 action: str = ACTION_STANDARD):
+    def __init__(self, N: int, d: int, epsilon: float):
         if N < 1 or d < 1:
             raise ValidationError("N and d must be >= 1")
         if not epsilon > 0:
             raise ValidationError("epsilon must be > 0")
-        if action not in ACTIONS:
-            raise ValidationError(f"unsupported action {action!r}")
         self.N = N
         self.d = d
         self.epsilon = epsilon
-        self.action = action
         self.labels = cos_basis(N, d)
         n = len(self.labels)
         self.scale = np.array(
             [1.0 if e.kind == KIND_DIAG else 2.0 for e in self.labels[:n // 2]])
-        self.block = epsilon * np.eye(2) - 1j * np.array(ACTION_QUAD[action])
+        self.block = epsilon * np.eye(2) - 1j * np.array(_COUPLING)
         (b00, b01), (b10, b11) = self.block
         self.block_inverse = (np.array([[b11, -b01], [-b10, b00]])
                               / (b00 * b11 - b01 * b10))
@@ -173,16 +172,14 @@ def _isserlis(cov: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def cached_oracle(N: int, d: int, epsilon: float,
-                  action: str = ACTION_STANDARD) -> OracleCovariance:
-    """One shared ``OracleCovariance`` per (N, d, eps, action)."""
-    return OracleCovariance(N, d, epsilon, action)
+def cached_oracle(N: int, d: int, epsilon: float) -> OracleCovariance:
+    """One shared ``OracleCovariance`` per (N, d, eps)."""
+    return OracleCovariance(N, d, epsilon)
 
 
-def gaussian_oracle_moment(entries, N: int, d: int, epsilon: float,
-                           action: str = ACTION_STANDARD) -> complex:
+def gaussian_oracle_moment(entries, N: int, d: int, epsilon: float) -> complex:
     """Oracle moment at one eps; callers extrapolate eps -> 0."""
-    return cached_oracle(N, d, epsilon, action).moment(entries)
+    return cached_oracle(N, d, epsilon).moment(entries)
 
 
 def richardson_limit(f, start: float = 0.1, ratio: float = 0.1,

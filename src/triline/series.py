@@ -15,7 +15,9 @@ The normalized partition series is
 with c = i/2 under the ``action`` convention (vertex coupling g/(2N) in
 the exponent exp(i S)) or c = i under the ``paper_series`` convention
 (vertex coupling g/N); the two differ by 2^k at order g^k.  As
-c^k i^{2k} = (-i)^k / 2^k or (-i)^k, Z_norm is real in h.  The formal
+c^k i^{2k} = (-i)^k / 2^k or (-i)^k, Z_norm is real in h.  The
+``wick_ordered`` action (the normal-ordered vertex) drops the tadpole
+pairings, those joining two legs of one vertex, from every sum.  The formal
 logarithm must equal the same sum restricted to connected pairings
 (linked-cluster identity); its coefficients sit on the lattice
 N-power = 2 - 2p, d-power = l >= 1, giving the table F_{l,p}(g).  The
@@ -31,12 +33,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .census import Census, is_knot_shadow, pairing_census
-from .diagrams import components_and_genus, enumerate_matchings, leg_family
-from .errors import ResourceLimitError, StructureError, ValidationError
+from .errors import StructureError, ValidationError
 
 CONVENTIONS = ("action", "paper_series")
-SERIES_ACTIONS = ("standard", "wick_ordered", "symmetric")
-SYMMETRIC_KMAX = 3
+SERIES_ACTIONS = ("standard", "wick_ordered")
 
 Key = tuple[int, int, int]
 CensusTable = dict[int, Census]   # order k -> pairing_census(k)
@@ -156,37 +156,6 @@ def _census_terms(k: int, census: Census, convention: str, connected_only: bool,
     return out
 
 
-def check_action_order(action: str, kmax: int) -> None:
-    """Refuse an order the action cannot assemble, before any census work."""
-    if action == "symmetric" and kmax > SYMMETRIC_KMAX:
-        raise ResourceLimitError(
-            f"symmetric-action assembly limited to k <= {SYMMETRIC_KMAX}")
-
-
-def _symmetric_terms(k: int, convention: str,
-                     connected_only: bool) -> dict[Key, Fraction]:
-    """Order-k terms under the symmetric quadratic form, all pairings.
-
-    Per-pair family blocks: same family 2i/3, cross family -i/3 (exact
-    inverse of [[2,1],[1,2]] times i).  Each still carries the i of the
-    standard action's propagator, so the real factors 2/3 and -1/3
-    multiply the prefactor.
-    """
-    check_action_order("symmetric", k)
-    pref = _vertex_prefactor(k, convention)
-    out: dict[Key, Fraction] = {}
-    for p in enumerate_matchings(k, mode="all"):
-        rep = components_and_genus(p)
-        if connected_only and rep.components != 1:
-            continue
-        same = sum(1 for i, j in p.pairs() if leg_family(i) == leg_family(j))
-        cross = 2 * k - same
-        block = Fraction(2 ** same * (-1) ** cross, 3 ** (2 * k))
-        key = (k, rep.C - k, rep.l)
-        out[key] = out.get(key, 0) + pref * block
-    return out
-
-
 def _assemble(table: CensusTable, convention: str, action: str,
               connected_only: bool) -> TriSeries:
     if action not in SERIES_ACTIONS:
@@ -194,11 +163,8 @@ def _assemble(table: CensusTable, convention: str, action: str,
     kmax = _table_kmax(table)
     out = TriSeries.one(kmax)
     for k in range(1, kmax + 1):
-        if action == "symmetric":
-            terms = _symmetric_terms(k, convention, connected_only)
-        else:
-            terms = _census_terms(k, table[k], convention, connected_only,
-                                  drop_tadpoles=(action == "wick_ordered"))
+        terms = _census_terms(k, table[k], convention, connected_only,
+                              drop_tadpoles=(action == "wick_ordered"))
         for key, coeff in terms.items():
             out._accumulate(key, coeff)
     if connected_only:
@@ -210,8 +176,7 @@ def assemble_Z(table: CensusTable, convention: str = "action",
                action: str = "standard") -> TriSeries:
     """Normalized partition series Z(N, d, g) / Z(N, d, 0) up to g^max(table).
 
-    The symmetric action enumerates all pairings itself and reads only the
-    order range from the table.
+    ``wick_ordered`` sums the same census without its tadpole pairings.
     """
     return _assemble(table, convention, action, connected_only=False)
 

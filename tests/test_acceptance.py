@@ -13,12 +13,12 @@ import numpy as np
 
 from triline.census import pairing_census
 from triline.diagrams import (brute_force_index_sum, components_and_genus,
-                              enumerate_matchings, is_tadpole)
+                              is_tadpole)
 from triline.gaussian import (EntrySymbol, free_partition, iter_pair_partitions,
                               propagator, quartic_monomials, wick_moment,
                               wick_order_quartic)
-from triline.knots import (TREFOIL, alternating_check, canonical_code,
-                           enumerate_knot_diagrams, reduce_R1)
+from triline.knots import (TREFOIL, canonical_code, enumerate_knot_diagrams,
+                           reduce_R1)
 from triline.mixed import counterterm_series
 from triline.oracle import (OracleCovariance, cached_oracle, entry_positions,
                             gaussian_oracle_moment, richardson_limit)
@@ -26,7 +26,7 @@ from triline.series import (F_of_g, assemble_Z, census_table,
                             connected_assemble, double_limit_check, extract_Flp,
                             formal_log, re_im)
 from row_census import row_census
-from unreduced import count_matchings
+from unreduced import alternating_check, count_matchings, enumerate_matchings
 
 
 def report(num, desc, ok, detail=""):
@@ -98,21 +98,17 @@ def test_criterion_04_matching_counts():
     ok = True
     detail = []
     for k in range(1, 6):
-        ab = count_matchings(k, mode="ab_only")
-        full = count_matchings(k, mode="all")
-        want_ab = math.factorial(2 * k)
-        want_full = math.factorial(4 * k) // (2 ** (2 * k) * math.factorial(2 * k))
-        ok = ok and ab == want_ab and full == want_full
-        detail.append(f"k={k}: {ab}/{full}")
-    report(4, "matching totals equal (2k)! and (4k)!/(2^(2k)(2k)!) for k <= 5",
-           ok, "; ".join(detail[-2:]))
+        ab = count_matchings(k)
+        ok = ok and ab == math.factorial(2 * k)
+        detail.append(f"k={k}: {ab}")
+    report(4, "(2k)! ab pairings for k <= 5", ok, "; ".join(detail[-2:]))
 
 
 def test_criterion_05_brute_force_weights():
     checked = 0
     ok = True
     for k in (1, 2, 3):
-        for p in enumerate_matchings(k, mode="ab_only"):
+        for p in enumerate_matchings(k):
             rep = components_and_genus(p)
             for N in (1, 2, 3):
                 for d in (1, 2):
@@ -129,7 +125,7 @@ def test_criterion_06_euler_integrality():
     ok = True
     count = 0
     for k in (1, 2, 3, 4):
-        for p in enumerate_matchings(k, mode="ab_only"):
+        for p in enumerate_matchings(k):
             rep = components_and_genus(p)   # raises if 2p is odd or negative
             total_genus = sum(rep.genus_per_component)
             # summed Euler relation: C - k = 2 components - 2 total genus
@@ -174,7 +170,7 @@ def test_criterion_08_lattice_and_double_limit():
                 complex(*map(float, re_im(k, co))) * N ** a * d ** b
                 for (k, a, b), co in z.terms.items() if k == 1)
             brute = sum(brute_force_index_sum(p, N, d)
-                        for p in enumerate_matchings(1, mode="ab_only"))
+                        for p in enumerate_matchings(1))
             if abs(series_val - 1j * float(c) / N * brute) > 1e-12:
                 ok = False
     report(8, "ln Z fits the N^(2-2p) d^l lattice for k <= 3; double limit "

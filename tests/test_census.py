@@ -7,18 +7,18 @@ import pytest
 
 from triline import census
 from triline.census import is_knot_shadow, pairing_census
-from triline.diagrams import Pairing, components_and_genus, enumerate_matchings, \
-    is_tadpole
+from triline.diagrams import Pairing, components_and_genus, is_tadpole
 from triline.errors import InvariantViolation, ResourceLimitError
 from row_census import _row_cycle_counts, census_rows, representatives, \
     row_census, trace_rows
 import row_census as rows
-from unreduced import count_matchings, iter_matchings_batched
+from unreduced import count_matchings, enumerate_matchings, \
+    iter_matchings_batched
 
 
 def reference_census(k):
     out = Counter()
-    for p in enumerate_matchings(k, mode="ab_only"):
+    for p in enumerate_matchings(k):
         rep = components_and_genus(p)
         out[(rep.C, rep.l, rep.components == 1, is_tadpole(p))] += 1
     return dict(out)
@@ -270,29 +270,26 @@ def test_batched_matchings_same_multiset_as_generator():
     for k in (1, 2, 3):
         # an ab pairing's row: A-leg 2i meets B-leg 2 bp[i] + 1
         gen = sorted(tuple(leg // 2 for leg in p.match[0::2])
-                     for p in enumerate_matchings(k, mode="ab_only"))
+                     for p in enumerate_matchings(k))
         bat = sorted(tuple(int(x) for x in row)
-                     for block in iter_matchings_batched(k, mode="ab_only")
-                     for row in block)
-        assert bat == gen
-    for k in (1, 2):
-        gen = sorted(p.match for p in enumerate_matchings(k, mode="all"))
-        bat = sorted(tuple(int(x) for x in row)
-                     for block in iter_matchings_batched(k, mode="all")
+                     for block in iter_matchings_batched(k)
                      for row in block)
         assert bat == gen
 
 
 def test_batched_rows_are_involutions():
-    for block in iter_matchings_batched(2, mode="all"):
-        for row in block:
-            match = tuple(int(x) for x in row)
-            assert all(match[match[i]] == i and match[i] != i
-                       for i in range(len(match)))
+    # row bp pairs A-leg 2i with B-leg 2 bp[i] + 1: an involution without
+    # fixed points that never pairs two legs of one family
+    for k in (1, 2, 3):
+        for block in iter_matchings_batched(k):
+            for row in block:
+                match = [0] * (4 * k)
+                for i, j in enumerate(row):
+                    match[2 * i], match[2 * int(j) + 1] = 2 * int(j) + 1, 2 * i
+                assert all(match[match[i]] == i and match[i] % 2 != i % 2
+                           for i in range(len(match)))
 
 
 def test_count_matchings_closed_forms():
     for k in (1, 2, 3, 4):
-        assert count_matchings(k, mode="ab_only") == math.factorial(2 * k)
-        assert count_matchings(k, mode="all") == math.factorial(4 * k) // (
-            2 ** (2 * k) * math.factorial(2 * k))
+        assert count_matchings(k) == math.factorial(2 * k)

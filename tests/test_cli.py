@@ -17,6 +17,7 @@ from triline.cli import COMMANDS, SUITES, main, make_parser
 from triline.diagrams import Pairing, is_tadpole
 from triline.errors import InvariantViolation, ValidationError
 from triline.knots import enumerate_knot_diagrams
+from triline.series import SERIES_ACTIONS
 
 
 def run(args):
@@ -162,14 +163,6 @@ GOLDEN_OUTPUTS = [
     ("expand --kmax 5 --convention paper_series --action wick_ordered "
      "--format csv",
      "39ce27a0f30b5449ba1c68d529c9c6117b32a35d7e5747c688c76cbbbd137fff"),
-    ("expand --kmax 3 --convention action --action symmetric --format json",
-     "be2a7945b5622e4ed556a5adb1f4aacbbb6b0f98f170bf5dcfe562e8fbae6f77"),
-    ("expand --kmax 3 --convention action --action symmetric --format csv",
-     "f27f22dbaa7d676de0718bcfd075330efdd6c807083b1ec88b9bd26a6cf48030"),
-    ("expand --kmax 3 --convention paper_series --action symmetric --format json",
-     "2a095ce310b614340c30c974650dc1a6b197f5189139017fcbda21714c52ab0a"),
-    ("expand --kmax 3 --convention paper_series --action symmetric --format csv",
-     "440a421f0650d8a4254394d8a0d93e666e30b5d77f62d85a56254b09633644f0"),
     ("knots --kmax 4 --action standard",
      "aed86d58dca53a4446d2fca2d086636338d171cedb3c46ca36921754156e4d16"),
     ("knots --kmax 4 --action wick_ordered",
@@ -183,9 +176,6 @@ GOLDEN_F = {
         "ln(pi) - 2i*g - 8*g^2 + 56i*g^3 + 520*g^4 - 28736/5i*g^5",
     ("action", "wick_ordered"): "ln(pi) + 1/3i*g^3 + 1/2*g^4 - 6/5i*g^5",
     ("paper_series", "wick_ordered"): "ln(pi) + 8/3i*g^3 + 8*g^4 - 192/5i*g^5",
-    ("action", "symmetric"): "ln(pi) - 1/9i*g - 10/81*g^2 + 151/729i*g^3",
-    ("paper_series", "symmetric"):
-        "ln(pi) - 2/9i*g - 40/81*g^2 + 1208/729i*g^3",
 }
 
 
@@ -262,7 +252,8 @@ def test_run_config_validation():
                  ["verify", "wick", "--N", "0"], ["verify", "wick", "--d", ","],
                  ["expand", "--format", "xml"],
                  ["expand", "--convention", "other"],
-                 # the knot export has no symmetric action, at any order
+                 # --action is standard or wick_ordered, for every command
+                 ["expand", "--action", "symmetric"],
                  ["knots", "--kmax", "0", "--action", "symmetric"],
                  ["knots", "--kmax", "1", "--action", "symmetric"]):
         with pytest.raises(ValidationError):
@@ -369,12 +360,26 @@ def test_readme_cli_examples_parse():
 
 
 def test_symmetric_cap_before_census(monkeypatch, capsys):
+    # the action is refused at parse time, at every order: no census is built
     def no_census(kmax):
         raise AssertionError("census built")
 
     monkeypatch.setattr(cli, "census_table", no_census)
-    assert run(["expand", "--action", "symmetric", "--kmax", "4"]) == 2
-    assert "symmetric-action assembly limited to k <= 3" in capsys.readouterr().err
+    for kmax in ("1", "4"):
+        assert run(["expand", "--action", "symmetric", "--kmax", kmax]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "symmetric" in err
+
+
+@pytest.mark.parametrize("command", [name for name, (_, reads) in
+                                     COMMANDS.items() if "action" in reads])
+def test_action_choices_are_the_series_actions(command, capsys):
+    parser = make_parser()
+    for action in SERIES_ACTIONS:
+        assert parser.parse_args([command, "--action", action]).action == action
+    assert run([command, "--action", "symmetric"]) == 2
+    err = capsys.readouterr().err.split("invalid choice", 1)[1]
+    assert all(action in err for action in SERIES_ACTIONS)
 
 
 def test_wick_ordered_expand(tmp_path):
@@ -400,6 +405,31 @@ def test_verify_euler_records_untraceable_pairings(monkeypatch, tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert records and all(r["k"] == 2 and r["match"][0] == [0, 1]
                            for r in records)
+
+
+def test_verify_euler_out_truncated_on_a_passing_run(tmp_path):
+    # --out holds this run's untraceable pairings: none, not an old run's
+    out = tmp_path / "fail.jsonl"
+    out.write_text('{"k":3,"match":"stale"}\n')
+    assert run(["verify", "euler", "--kmax", "2", "--out", str(out)]) == 0
+    assert out.read_text() == ""
+
+
+def test_verify_euler_out_replaces_stale_records_on_a_failing_run(
+        monkeypatch, tmp_path):
+    real = cli.components_and_genus
+
+    def broken(p):
+        if p.k == 1:
+            raise InvariantViolation("forced")
+        return real(p)
+
+    monkeypatch.setattr(cli, "components_and_genus", broken)
+    out = tmp_path / "fail.jsonl"
+    out.write_text('{"k":3,"match":"stale"}\n')
+    assert run(["verify", "euler", "--kmax", "2", "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records and all(r["k"] == 1 for r in records)
 
 
 def test_verify_propagators_fails_on_wrong_propagator(monkeypatch, capsys):

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triline.diagrams import (LoopReport, Pairing, brute_force_index_sum,
-                              components_and_genus, enumerate_matchings,
-                              is_tadpole, leg_family, trace_greek_loops)
+                              components_and_genus, is_tadpole,
+                              trace_greek_loops)
 from triline.errors import ResourceLimitError, ValidationError
+from unreduced import KMAX, enumerate_matchings, leg_family
 
 # census of (C, l, connected) triples over ab pairings, frozen from an
 # independent implementation
@@ -41,30 +42,27 @@ def test_pairing_validation():
 
 def test_enumeration_counts_exact():
     for k in (1, 2, 3):
-        ab = sum(1 for _ in enumerate_matchings(k, mode="ab_only"))
-        assert ab == math.factorial(2 * k)
-        full = sum(1 for _ in enumerate_matchings(k, mode="all"))
-        assert full == math.factorial(4 * k) // (
-            2 ** (2 * k) * math.factorial(2 * k))
+        pairings = list(enumerate_matchings(k))
+        assert len(pairings) == math.factorial(2 * k)
+        assert all(map(is_ab, pairings))
 
 
 def test_enumeration_is_lexicographic_and_duplicate_free():
-    for mode in ("ab_only", "all"):
-        seen = [p.match for p in enumerate_matchings(2, mode=mode)]
-        assert seen == sorted(set(seen))
+    seen = [p.match for p in enumerate_matchings(2)]
+    assert seen == sorted(set(seen))
 
 
 def test_enumeration_cap():
-    with pytest.raises(ResourceLimitError):
-        next(enumerate_matchings(8))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ValueError):
+        next(enumerate_matchings(KMAX + 1))
+    with pytest.raises(ValueError):
         next(enumerate_matchings(0))
 
 
 def test_loop_tracing_census_matches_frozen():
     for k, want in CENSUS_AB.items():
         got = Counter()
-        for p in enumerate_matchings(k, mode="ab_only"):
+        for p in enumerate_matchings(k):
             rep = components_and_genus(p)
             got[(rep.C, rep.l, rep.components == 1)] += 1
         assert dict(got) == want, k
@@ -81,7 +79,7 @@ def test_single_vertex_reports():
 def test_nonplanar_component_appears_at_k2():
     # the fully crossing ladder has C = 2, l = 2: genus 1
     found = False
-    for p in enumerate_matchings(2, mode="ab_only"):
+    for p in enumerate_matchings(2):
         rep = components_and_genus(p)
         if rep.genus_per_component == (1,):
             found = True
@@ -92,14 +90,14 @@ def test_nonplanar_component_appears_at_k2():
 def test_genus_parity_invariant():
     # per component: Latin loops + vertices is always even
     for k in (1, 2, 3):
-        for p in enumerate_matchings(k, mode="ab_only"):
+        for p in enumerate_matchings(k):
             rep = components_and_genus(p)
             assert all(g >= 0 for g in rep.genus_per_component)
 
 
 def test_brute_force_matches_loop_formula_exhaustive_k2():
     for k in (1, 2):
-        for p in enumerate_matchings(k, mode="ab_only"):
+        for p in enumerate_matchings(k):
             rep = components_and_genus(p)
             for N in (1, 2):
                 for d in (1, 2):
@@ -126,7 +124,7 @@ def test_brute_force_caps():
 def test_tadpole_census():
     # frozen independently: tadpole-free ab pairings per order
     for k, want_free in ((1, 0), (2, 4), (3, 80)):
-        free = sum(1 for p in enumerate_matchings(k, mode="ab_only")
+        free = sum(1 for p in enumerate_matchings(k)
                    if not is_tadpole(p))
         assert free == want_free
 
@@ -136,7 +134,7 @@ def test_tadpole_census():
 def test_loop_counts_stable_under_pair_relabeling(k, rnd):
     # the multiset of pairs determines the report, not their listed order
     pairs = None
-    pool = list(enumerate_matchings(k, mode="ab_only"))
+    pool = list(enumerate_matchings(k))
     p = pool[rnd.randrange(len(pool))]
     pairs = list(p.pairs())
     rnd.shuffle(pairs)

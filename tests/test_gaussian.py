@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from triline.cosbasis import MatrixPair
 from triline.errors import ValidationError
 from triline.gaussian import (A, B, EntrySymbol, RegKernel, free_partition,
-                              general_propagators, iter_pair_partitions,
-                              propagator, t_transform_limit, t_transform_reg,
+                              iter_pair_partitions, propagator,
+                              t_transform_limit, t_transform_reg,
                               u_bound_check, wick_moment, wick_order_quartic)
 from triline.oracle import gaussian_oracle_moment, richardson_limit
 
@@ -109,28 +109,6 @@ def test_wick_moment_matches_oracle_spot():
     want = wick_moment(entries)
     got = richardson_limit(lambda e: gaussian_oracle_moment(entries, N, d, e))
     assert abs(got - complex(want)) < 1e-10
-
-
-def test_general_propagators_standard_and_symmetric():
-    std = general_propagators("standard")
-    assert std.value(A(1, 1, 2), B(1, 2, 1)) == pytest.approx(1j)
-    assert std.value(A(1, 1, 2), A(1, 2, 1)) == 0
-    sym = general_propagators("symmetric")
-    # inverse of [[2, 1], [1, 2]] times i: diagonal 2i/3, off-diagonal -i/3
-    assert sym.value(A(1, 1, 2), A(1, 2, 1)) == pytest.approx(2j / 3)
-    assert sym.value(A(1, 1, 2), B(1, 2, 1)) == pytest.approx(-1j / 3)
-    assert sym.value(B(1, 1, 2), B(1, 2, 1)) == pytest.approx(2j / 3)
-
-
-def test_symmetric_propagators_match_oracle():
-    N, d = 2, 1
-    sym = general_propagators("symmetric")
-    for x, y in [(A(1, 1, 2), A(1, 2, 1)), (A(1, 1, 2), B(1, 2, 1)),
-                 (B(1, 2, 2), B(1, 2, 2))]:
-        want = sym.value(x, y)
-        got = richardson_limit(lambda e: gaussian_oracle_moment(
-            [x, y], N, d, e, action="symmetric"))
-        assert abs(got - want) < 1e-9, (x, y, got, want)
 
 
 def test_wick_order_constants():

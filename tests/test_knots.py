@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triline import diagrams, knots
+from triline import diagrams
 from triline.census import pairing_census
-from triline.diagrams import Pairing, components_and_genus, enumerate_matchings, \
-    is_tadpole, trace_greek_loops
+from triline.diagrams import Pairing, components_and_genus, is_tadpole, \
+    trace_greek_loops
 from triline.errors import ResourceLimitError, StructureError, ValidationError
-from triline.knots import (GaussCode, KNOTS_KMAX, TREFOIL, alternating_check,
-                           canonical_code, enumerate_knot_diagrams, knot_record,
-                           reduce_R1, to_gauss_code)
+from triline.knots import (GaussCode, KNOTS_KMAX, TREFOIL, canonical_code,
+                           enumerate_knot_diagrams, knot_record, reduce_R1)
 from triline.series import (census_table, coeff_json, connected_assemble,
                             extract_Flp)
+from unreduced import alternating_check, enumerate_matchings, to_gauss_code
 
 # canonical code multisets per order, frozen from an independent walk
 FROZEN_CODES = {
@@ -49,7 +49,7 @@ def test_single_vertex_codes():
 
 def test_walk_refuses_multi_loop_and_disconnected():
     refused = 0
-    for p in enumerate_matchings(2, mode="ab_only"):
+    for p in enumerate_matchings(2):
         rep = components_and_genus(p)
         if rep.l != 1 or rep.components != 1 or rep.C != 4:
             with pytest.raises(StructureError):
@@ -87,7 +87,7 @@ def multiplicities(k, action="standard"):
 def per_pairing_codes(k):
     """Reference fold: every labeled pairing walked, per action."""
     std, wo = Counter(), Counter()
-    for p in enumerate_matchings(k, mode="ab_only"):
+    for p in enumerate_matchings(k):
         rep = components_and_genus(p)
         if rep.components != 1 or rep.l != 1 or rep.C != k + 2:
             continue
@@ -117,9 +117,10 @@ def test_export_never_calls_reference_tracer(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("reference tracer called by the knot export")
 
-    for module in (knots, diagrams):
-        for name in ("Pairing", "components_and_genus", "is_tadpole"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+    # knots never loads diagrams (tests/test_package.py), so patch the tracer
+    # where it lives
+    for name in ("Pairing", "components_and_genus", "is_tadpole"):
+        monkeypatch.setattr(diagrams, name, refuse)
     for (k, action), codes in want.items():
         assert multiplicities(k, action) == codes
 
@@ -156,7 +157,7 @@ def test_trefoil_present_and_r1_fixed_at_k3():
 
 def test_tadpole_pairings_produce_kinks():
     for k in (1, 2, 3):
-        for p in enumerate_matchings(k, mode="ab_only"):
+        for p in enumerate_matchings(k):
             rep = components_and_genus(p)
             if rep.components != 1 or rep.l != 1 or rep.C != k + 2:
                 continue

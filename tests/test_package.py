@@ -29,6 +29,21 @@ def test_import_loads_no_module():
     assert _fresh(show) == "[]"
 
 
+def test_series_and_knots_load_no_reference_tracer():
+    # the census, the series and the knot export need neither the reference
+    # tracer (diagrams) nor the counterterm check (mixed)
+    show = ("import sys, triline.series, triline.knots; print(sorted(m for m "
+            "in sys.modules if m in ('triline.diagrams', 'triline.mixed')))")
+    assert _fresh(show) == "[]"
+
+
+def test_cli_binds_the_reference_tracer():
+    # verify euler traces through cli's own binding, which tests and the
+    # benchmark's call counter patch
+    from triline import cli, diagrams
+    assert cli.components_and_genus is diagrams.components_and_genus
+
+
 def test_import_pins_blas_to_one_thread():
     show = "import os, triline; print([os.environ.get(v) for v in %r])" % (
         BLAS_VARS,)

@@ -1,4 +1,5 @@
 """Exact series assembly, formal log/exp, genus/link table, F(g)."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from triline import mixed
 from triline.errors import (InvariantViolation, ResourceLimitError,
                             StructureError, ValidationError)
+from triline.gaussian import EntrySymbol
 from triline.mixed import counterterm_series
 from triline.oracle import gaussian_oracle_moment, richardson_limit
 from triline.series import (F_of_g, FlpTable, TriSeries, assemble_Z,
@@ -68,6 +70,41 @@ def test_linked_cluster_exact():
     for convention in ("action", "paper_series"):
         z = assemble_Z(table, convention=convention)
         assert formal_log(z) == connected_assemble(table, convention=convention)
+
+
+def test_wick_ordered_linked_cluster():
+    table = census_table(3)
+    for convention in ("action", "paper_series"):
+        z = assemble_Z(table, convention, action="wick_ordered")
+        assert formal_log(z) == connected_assemble(table, convention,
+                                                   action="wick_ordered")
+
+
+@pytest.mark.parametrize("assemble", [assemble_Z, connected_assemble])
+def test_assembly_refuses_unknown_action(assemble):
+    with pytest.raises(ValidationError):
+        assemble(census_table(1), action="symmetric")
+
+
+def test_standard_assembly_first_order_against_oracle():
+    # order-g coefficient of Z implies E[sum Tr(A_mu B_nu A_mu B_nu)]
+    # = -2 N^3 d: two planar Wick pairings, each i^2 N^3 d; confirm it
+    # against the numeric Gaussian oracle
+    z = assemble_Z(census_table(1))
+    for N, d in ((2, 1), (1, 2)):
+        implied = -2j * N * sum(
+            complex(*map(float, re_im(k, c))) * N ** a * d ** b
+            for (k, a, b), c in z.terms.items() if k == 1)
+        words = [[EntrySymbol("A", mu, j, l), EntrySymbol("B", nu, l, m),
+                  EntrySymbol("A", mu, m, n), EntrySymbol("B", nu, n, j)]
+                 for mu, nu, j, l, m, n in itertools.product(
+                     range(1, d + 1), range(1, d + 1),
+                     *[range(1, N + 1)] * 4)]
+        got = richardson_limit(lambda eps: sum(
+            gaussian_oracle_moment(w, N, d, eps) for w in words))
+        want = -2 * N ** 3 * d
+        assert abs(got - want) < 1e-8
+        assert abs(implied - want) < 1e-12
 
 
 def test_census_table_must_cover_every_order():
@@ -161,47 +198,6 @@ def test_mixed_refuses_a_term_off_the_grading(monkeypatch):
     monkeypatch.setattr(mixed, "_C1", (0, mixed._C1[1]))
     with pytest.raises(InvariantViolation):
         counterterm_series(1)
-
-
-def test_symmetric_assembly_first_order_against_oracle():
-    # order-g coefficient of Z under the symmetric quadratic form implies
-    # E[sum Tr(ABAB)] = -2N(2d^2 + N^2 d)/9; confirm numerically
-    from triline.gaussian import EntrySymbol
-    z = assemble_Z(census_table(1), action="symmetric")
-    for N, d in ((2, 1), (1, 2)):
-        implied = -2j * N * sum(
-            complex(*map(float, re_im(k, c))) * N ** a * d ** b
-            for (k, a, b), c in z.terms.items() if k == 1)
-        def tr_q(eps, N=N, d=d):
-            total = 0j
-            for mu in range(1, d + 1):
-                for nu in range(1, d + 1):
-                    for j in range(1, N + 1):
-                        for l in range(1, N + 1):
-                            for m in range(1, N + 1):
-                                for n in range(1, N + 1):
-                                    ent = [EntrySymbol("A", mu, j, l),
-                                           EntrySymbol("B", nu, l, m),
-                                           EntrySymbol("A", mu, m, n),
-                                           EntrySymbol("B", nu, n, j)]
-                                    total += gaussian_oracle_moment(
-                                        ent, N, d, eps, action="symmetric")
-            return total
-        got = richardson_limit(tr_q)
-        want = -2 * N * (2 * d * d + N * N * d) / 9
-        assert abs(got - want) < 1e-8
-        assert abs(implied - want) < 1e-12
-
-
-def test_symmetric_assembly_linked_cluster():
-    table = census_table(2)
-    z = assemble_Z(table, action="symmetric")
-    assert formal_log(z) == connected_assemble(table, action="symmetric")
-
-
-def test_symmetric_cap():
-    with pytest.raises(ResourceLimitError):
-        assemble_Z(census_table(4), action="symmetric")
 
 
 def test_series_json_schema():
