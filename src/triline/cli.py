@@ -3,7 +3,10 @@
 Each command and each verify suite accepts only the flags its handler
 reads (``COMMANDS``, ``SUITES``), plus ``--config FILE``, whose
 ``key = value`` lines count as flags placed before the command line's.
-Exit codes: 0 success, 1 verification failure, 2 usage/resource error.
+Exit codes: 0 success, 1 verification failure, 2 usage/resource error;
+``--N`` above 8 or ``--d`` above 4 is a usage error.  ``verify wick`` and
+``verify propagators`` build one oracle per eps for each (N, d), ask it
+for every moment at once and drop it after the extrapolation.
 Machine output goes to --out (or stdout); human summaries go to stderr.
 ``expand`` and ``verify logcheck`` still accept ``--threads`` (>= 1) and
 ignore it: the census runs in one process.  numpy and the modules that
@@ -50,14 +53,18 @@ def _list_of(num):
     return lambda text: tuple(num(tok) for tok in text.split(",") if tok.strip())
 
 
-_POSITIVE_INTS = _checked(_list_of(int), lambda v: v and min(v) >= 1,
-                          "comma-separated integers >= 1")
+def _sizes(cap: int):
+    # the oracle's covariance holds (2 d N^2)^2 complex numbers: 4 MB at the caps
+    return _checked(_list_of(int), lambda v: v and 1 <= min(v) <= max(v) <= cap,
+                    f"comma-separated integers in 1..{cap}")
+
+
 # every flag a command may read, as argparse options
 _FLAGS = {
     "kmax": {"type": _checked(int, lambda k: 0 <= k <= DEFAULT_KMAX,
                               f"an order in 0..{DEFAULT_KMAX}"), "default": 3},
-    "N": {"type": _POSITIVE_INTS, "default": (1, 2)},
-    "d": {"type": _POSITIVE_INTS, "default": (1, 2)},
+    "N": {"type": _sizes(8), "default": (1, 2)},
+    "d": {"type": _sizes(4), "default": (1, 2)},
     # u_bound_check's regularized kernel needs eps <= 1/2
     "eps": {"type": _checked(_list_of(float),
                              lambda v: v and all(0 < e <= 0.5 for e in v),
@@ -190,39 +197,27 @@ def cmd_knots(args: argparse.Namespace) -> int:
     return 0
 
 
-def _entry_pool(N: int, d: int) -> list:
-    from .gaussian import EntrySymbol
-    # entry indices are 1-based throughout
-    return [EntrySymbol(f, mu, k, l)
-            for f in ("A", "B") for mu in range(1, d + 1)
-            for k in range(1, N + 1) for l in range(1, N + 1)]
-
-
 def _verify_propagators(args: argparse.Namespace, failures: list[str]) -> None:
-    from .gaussian import propagator
-    from .oracle import OracleCovariance, entry_positions, richardson_limit
+    from .gaussian import entry_pool, propagator
+    from .oracle import OracleCovariance, richardson_limit
     for N in args.N:
         for d in args.d:
-            symbols = _entry_pool(N, d)
-            pos = entry_positions(symbols, N, d)     # validates the pool
-            # no eps is reused, so the oracles bypass ``cached_oracle``
+            symbols = entry_pool(N, d)      # in the order of cov's rows
             cov = richardson_limit(
                 lambda eps: OracleCovariance(N, d, eps).cov)
-            got = cov[pos][:, pos]
             for i, x in enumerate(symbols):
                 for j, y in enumerate(symbols):
                     want = propagator(x, y)
-                    if abs(got[i, j] - want) >= 1e-8:
+                    if abs(cov[i, j] - want) >= 1e-8:
                         failures.append(
                             f"propagator N={N} d={d} {x} {y}: "
-                            f"oracle {complex(got[i, j])} vs {want}")
+                            f"oracle {complex(cov[i, j])} vs {want}")
 
 
 def _verify_wick(args: argparse.Namespace, failures: list[str]) -> None:
-    from .gaussian import (EntrySymbol, iter_pair_partitions, quartic_monomials,
-                           wick_moment, wick_order_quartic)
-    from .oracle import (cached_oracle, entry_positions, gaussian_oracle_moment,
-                         richardson_limit)
+    from .gaussian import (EntrySymbol, entry_pool, iter_pair_partitions,
+                           quartic_monomials, wick_moment, wick_order_quartic)
+    from .oracle import OracleCovariance, entry_positions, richardson_limit
     for m in (2, 3):
         want = 1
         for j in range(2 * m - 1, 0, -2):
@@ -233,31 +228,29 @@ def _verify_wick(args: argparse.Namespace, failures: list[str]) -> None:
     rng = random.Random(20260823)     # numpy.random would cost 5.6 MB RSS
     for N in args.N:
         for d in args.d:
-            pool = _entry_pool(N, d)
-            picks = [rng.choices(range(len(pool)), k=4) for _ in range(8)]
-            picks += [rng.choices(range(len(pool)), k=6) for _ in range(4)]
-            for idxs in picks:
-                entries = [pool[i] for i in idxs]
-                want = wick_moment(entries)
-                got = richardson_limit(
-                    lambda eps: gaussian_oracle_moment(entries, N, d, eps))
-                if abs(got - complex(want)) >= 1e-8:
-                    failures.append(
-                        f"moment N={N} d={d} {entries}: {got} vs {want}")
+            pool = entry_pool(N, d)
+            fours, sixes = (
+                [[pool[i] for i in rng.choices(range(len(pool)), k=deg)]
+                 for _ in range(count)] for deg, count in ((4, 8), (6, 4)))
+            pairs = [(x, EntrySymbol("B", x.mu, x.l, x.k))
+                     for x in pool[:len(pool) // 2]]     # the A entries
+            batches = [entry_positions(b, N, d)
+                       for b in (fours, sixes, quartic_monomials(N, d), pairs)]
             c1, c2 = wick_order_quartic(N, d)
-            quartic = entry_positions(quartic_monomials(N, d), N, d)
-            pairs = entry_positions(
-                [(EntrySymbol("A", mu, a, b), EntrySymbol("B", mu, b, a))
-                 for mu in range(1, d + 1)
-                 for a in range(1, N + 1) for b in range(1, N + 1)], N, d)
 
-            def ordered_mean(eps):
-                orc = cached_oracle(N, d, eps)
-                return (orc.moments(quartic).sum()
-                        + c1 * orc.moments(pairs).sum() + c2)
-            val = richardson_limit(ordered_mean)
+            def moments_and_ordered_mean(eps):
+                orc = OracleCovariance(N, d, eps)
+                four, six, quartic, traces = (orc.moments(b) for b in batches)
+                return [*four, *six, quartic.sum() + c1 * traces.sum() + c2]
+            *got, val = richardson_limit(moments_and_ordered_mean)
+            for entries, moment in zip(fours + sixes, got):
+                want = wick_moment(entries)
+                if abs(moment - complex(want)) >= 1e-8:
+                    failures.append(
+                        f"moment N={N} d={d} {entries}: {complex(moment)} "
+                        f"vs {want}")
             if abs(val) >= 1e-8:
-                failures.append(f"E[:quartic:] N={N} d={d} = {val}")
+                failures.append(f"E[:quartic:] N={N} d={d} = {complex(val)}")
 
 
 def _verify_euler(args: argparse.Namespace, failures: list[str]) -> None:

@@ -224,7 +224,9 @@ def brute_force_index_sum(p: Pairing, N: int, d: int,
     propagator contributes i times three deltas: slot(x)=slot(y),
     row(x)=col(y), col(x)=row(y).
 
-    ``enumerate`` loops over every assignment; ``propagate`` contracts the
+    ``enumerate`` counts the Latin and the Greek assignments that satisfy
+    the deltas, each set by looping over all of its assignments (the sets
+    share no variable, so the counts multiply); ``propagate`` contracts the
     deltas into equivalence classes first (each free class contributes a
     factor N or d).  ``auto`` enumerates when the assignment space is
     small, else propagates.
@@ -252,13 +254,13 @@ def brute_force_index_sum(p: Pairing, N: int, d: int,
         return 2 * (leg // 4) + (leg % 4) % 2
 
     if strategy == "enumerate":
-        count = 0
-        for lat in product(range(N), repeat=4 * k):
-            if all(lat[row_var(x)] == lat[col_var(y)]
-                   and lat[col_var(x)] == lat[row_var(y)] for x, y in pairs):
-                for grk in product(range(d), repeat=2 * k):
-                    if all(grk[slot_var(x)] == grk[slot_var(y)] for x, y in pairs):
-                        count += 1
+        lat_eq = [(row_var(x), col_var(y)) for x, y in pairs] + \
+            [(col_var(x), row_var(y)) for x, y in pairs]
+        grk_eq = [(slot_var(x), slot_var(y)) for x, y in pairs]
+        count = 1
+        for size, n_var, eqs in ((N, 4 * k, lat_eq), (d, 2 * k, grk_eq)):
+            count *= sum(all(a[i] == a[j] for i, j in eqs)
+                         for a in product(range(size), repeat=n_var))
     else:
         lat = _DSU(4 * k)
         grk = _DSU(2 * k)

@@ -78,10 +78,12 @@ def u_bound_check(FG: MatrixPair, z_samples, kernel: RegKernel | None = None,
     """Entire-growth bound on the normalized transform along complex rays.
 
     Checks |T(z F, z G)| / |T(0, 0)| <= exp(2 |z|^2 |FG|^2) for each sample
-    z, where |FG|^2 is the trace-norm square T1.  The scaled argument is
-    evaluated analytically (z F is not Hermitian for complex z, so the
-    closed form is continued in z rather than re-validated).  ``inflate``
-    multiplies the left side; values > 1 serve as a negative control.
+    z, where |FG|^2 is the trace-norm square T1, as an inequality of
+    logarithms: exp(2 |z|^2 T1) overflows a float once T1 reaches a few
+    hundred.  The scaled argument is evaluated analytically (z F is not
+    Hermitian for complex z, so the closed form is continued in z rather
+    than re-validated).  ``inflate`` multiplies the left side; values > 1
+    serve as a negative control.
     """
     kernel = kernel or RegKernel(0.1)
     if kernel.epsilon > 0.5:
@@ -89,13 +91,9 @@ def u_bound_check(FG: MatrixPair, z_samples, kernel: RegKernel | None = None,
     eps = kernel.epsilon
     t1, t2 = _trace_sums(FG)
     denom = 2.0 * (eps * eps + 1.0)
-    for z in z_samples:
-        z2 = complex(z) ** 2
-        lhs = inflate * abs(np.exp(-(eps * t1 + 2j * t2) * z2 / denom))
-        rhs = math.exp(2.0 * abs(z) ** 2 * t1)
-        if lhs > rhs:
-            return False
-    return True
+    return all(math.log(inflate)
+               + (-(eps * t1 + 2j * t2) * complex(z) ** 2 / denom).real
+               <= 2.0 * abs(z) ** 2 * t1 for z in z_samples)
 
 
 @dataclass(frozen=True, order=True)
@@ -125,6 +123,13 @@ def B(mu: int, k: int, l: int) -> EntrySymbol:
     return EntrySymbol("B", mu, k, l)
 
 
+def entry_pool(N: int, d: int) -> list[EntrySymbol]:
+    """Every entry symbol of one (N, d), in the oracle's entry order."""
+    return [EntrySymbol(f, mu, k, l) for f in ("A", "B")
+            for mu in range(1, d + 1)
+            for k in range(1, N + 1) for l in range(1, N + 1)]
+
+
 def validate_entries(entries, N: int, d: int) -> None:
     """Bounds-check a collection of entry symbols against one (N, d) context."""
     for e in entries:
@@ -137,18 +142,12 @@ def _delta_pattern(x: EntrySymbol, y: EntrySymbol) -> bool:
     return x.mu == y.mu and x.k == y.l and x.l == y.k
 
 
-def propagator(x: EntrySymbol, y: EntrySymbol,
-               N: int | None = None, d: int | None = None) -> complex:
+def propagator(x: EntrySymbol, y: EntrySymbol) -> complex:
     """Limit second moment of two entries under the standard action.
 
     Returns i when {x, y} pairs an A with a B carrying the same Greek index
-    and swapped row/column indices; 0 otherwise.  Passing N, d bounds-checks
-    both symbols against that shared context.
+    and swapped row/column indices; 0 otherwise.
     """
-    if N is not None or d is not None:
-        if N is None or d is None:
-            raise ValidationError("provide both N and d or neither")
-        validate_entries((x, y), N, d)
     if x.family == y.family:
         return 0.0 + 0.0j
     return 1j if _delta_pattern(x, y) else 0.0 + 0.0j

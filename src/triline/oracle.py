@@ -13,6 +13,12 @@ algebra:
 * normalization: (2 pi)^{n/2} / sqrt(det M);
 * characteristic function: normalization * exp(-1/2 j^T Sigma j).
 
+Moments are asked one way: build one ``OracleCovariance`` per eps, pass
+``moments`` a batch of ``entry_positions`` and extrapolate the whole array
+with ``richardson_limit``.  Nothing is cached; an oracle lives as long as
+its caller holds it.  ``normalization`` and ``char_function`` are
+references that tests compare with ``gaussian``'s closed forms.
+
 The weight's one quadratic form, i Tr(A_mu B_mu), pairs each A coordinate
 with its B twin; the oracle holds that coupling itself and takes only
 ``validate_entries`` from ``gaussian``, never its pairing rules.  Agreement
@@ -22,7 +28,6 @@ eps-sequence (``richardson_limit``).
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -131,11 +136,6 @@ class OracleCovariance:
             return np.zeros(len(pos), dtype=complex)
         return _isserlis(self.cov, pos)
 
-    def moment(self, entries) -> complex:
-        """Normalized moment of one product of entries."""
-        pos = entry_positions([tuple(entries)], self.N, self.d)
-        return complex(self.moments(pos)[0])
-
     def normalization(self) -> complex:
         """Total Gaussian integral (2 pi)^{n/2} / sqrt(det M)."""
         n = len(self.labels)
@@ -169,17 +169,6 @@ def _isserlis(cov: np.ndarray, pos: np.ndarray) -> np.ndarray:
         rest = np.delete(pos, (0, j), axis=1)
         total += cov[pos[:, 0], pos[:, j]] * _isserlis(cov, rest)
     return total
-
-
-@functools.lru_cache(maxsize=128)
-def cached_oracle(N: int, d: int, epsilon: float) -> OracleCovariance:
-    """One shared ``OracleCovariance`` per (N, d, eps)."""
-    return OracleCovariance(N, d, epsilon)
-
-
-def gaussian_oracle_moment(entries, N: int, d: int, epsilon: float) -> complex:
-    """Oracle moment at one eps; callers extrapolate eps -> 0."""
-    return cached_oracle(N, d, epsilon).moment(entries)
 
 
 def richardson_limit(f, start: float = 0.1, ratio: float = 0.1,

@@ -14,14 +14,13 @@ import numpy as np
 from triline.census import pairing_census
 from triline.diagrams import (brute_force_index_sum, components_and_genus,
                               is_tadpole)
-from triline.gaussian import (EntrySymbol, free_partition, iter_pair_partitions,
-                              propagator, quartic_monomials, wick_moment,
-                              wick_order_quartic)
+from triline.gaussian import (EntrySymbol, entry_pool, free_partition,
+                              iter_pair_partitions, propagator,
+                              quartic_monomials, wick_moment, wick_order_quartic)
 from triline.knots import (TREFOIL, canonical_code, enumerate_knot_diagrams,
                            reduce_R1)
 from triline.mixed import counterterm_series
-from triline.oracle import (OracleCovariance, cached_oracle, entry_positions,
-                            gaussian_oracle_moment, richardson_limit)
+from triline.oracle import OracleCovariance, entry_positions, richardson_limit
 from triline.series import (F_of_g, assemble_Z, census_table,
                             connected_assemble, double_limit_check, extract_Flp,
                             formal_log, re_im)
@@ -33,11 +32,6 @@ def report(num, desc, ok, detail=""):
     tail = f"  ({detail})" if detail else ""
     print(f"\n{'PASS' if ok else 'FAIL'} criterion {num}: {desc}{tail}")
     assert ok, f"criterion {num}: {desc}{tail}"
-
-
-def entry_pool(N, d):
-    return [EntrySymbol(f, mu, k, l) for f in "AB" for mu in range(1, d + 1)
-            for k in range(1, N + 1) for l in range(1, N + 1)]
 
 
 def test_criterion_01_free_partition():
@@ -59,12 +53,11 @@ def test_criterion_02_propagator_pattern():
     for N in (1, 2, 3):
         for d in (1, 2):
             pool = entry_pool(N, d)
-            for x in pool:
-                for y in pool:
-                    want = propagator(x, y, N=N, d=d)
-                    got = richardson_limit(
-                        lambda e: gaussian_oracle_moment([x, y], N, d, e))
-                    worst = max(worst, abs(got - complex(want)))
+            pos = entry_positions(pool, N, d)
+            cov = richardson_limit(lambda e: OracleCovariance(N, d, e).cov)
+            for x, i in zip(pool, pos):
+                for y, j in zip(pool, pos):
+                    worst = max(worst, abs(cov[i, j] - propagator(x, y)))
                     pairs += 1
     report(2, "all second moments at N <= 3, d <= 2 match the i*delta "
               "pattern, abs err < 1e-8",
@@ -86,7 +79,7 @@ def test_criterion_03_wick_theorem():
                 want = np.array([wick_moment(c) for c in combos])
                 pos = entry_positions(combos, N, d)
                 got = richardson_limit(
-                    lambda e: cached_oracle(N, d, e).moments(pos))
+                    lambda e: OracleCovariance(N, d, e).moments(pos))
                 worst = max(worst, float(np.max(np.abs(got - want))))
                 moments += len(combos)
     report(3, "all degree-4/6 moments at N <= 2, d <= 2: pairing sum = "
@@ -202,18 +195,16 @@ def test_criterion_10_wick_ordered_vertex():
     for N in (1, 2):
         for d in (1, 2):
             c1, c2 = wick_order_quartic(N, d)
+            quartic = entry_positions(quartic_monomials(N, d), N, d)
+            pairs = entry_positions(
+                [(EntrySymbol("A", mu, a, b), EntrySymbol("B", mu, b, a))
+                 for mu in range(1, d + 1)
+                 for a in range(1, N + 1) for b in range(1, N + 1)], N, d)
 
             def ordered_mean(eps, N=N, d=d, c1=c1, c2=c2):
-                total = 0j
-                for mono in quartic_monomials(N, d):
-                    total += gaussian_oracle_moment(list(mono), N, d, eps)
-                for mu in range(1, d + 1):
-                    for a in range(1, N + 1):
-                        for b in range(1, N + 1):
-                            pair = [EntrySymbol("A", mu, a, b),
-                                    EntrySymbol("B", mu, b, a)]
-                            total += c1 * gaussian_oracle_moment(pair, N, d, eps)
-                return total + c2
+                orc = OracleCovariance(N, d, eps)
+                return (orc.moments(quartic).sum()
+                        + c1 * orc.moments(pairs).sum() + c2)
 
             worst = max(worst, abs(richardson_limit(ordered_mean)))
     exact = all(

@@ -1,4 +1,5 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
+import gc
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import triline
-from triline import cli, gaussian
+from triline import cli, gaussian, oracle
 from triline.cli import COMMANDS, SUITES, main, make_parser
 from triline.diagrams import Pairing, is_tadpole
 from triline.errors import InvariantViolation, ValidationError
@@ -200,6 +201,19 @@ def test_verify_suites_pass():
     assert run(["verify", "bound", "--N", "2", "--d", "1", "--eps", "0.2,0.5"]) == 0
 
 
+def test_verify_bound_at_large_trace_norm():
+    # T1 reaches 268 here; the bound is compared as logarithms
+    assert run(["verify", "bound", "--N", "7", "--d", "3"]) == 0
+
+
+def test_no_oracle_outlives_its_suite():
+    assert run(["verify", "wick", "--N", "1,2", "--d", "1"]) == 0
+    assert run(["verify", "propagators", "--N", "1,2", "--d", "1"]) == 0
+    gc.collect()
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, oracle.OracleCovariance)]
+
+
 def test_verify_unknown_suite_rejected(capsys):
     assert run(["verify", "nonsense"]) == 2
     assert "invalid choice: 'nonsense'" in capsys.readouterr().err
@@ -250,6 +264,10 @@ def test_run_config_validation():
                  ["verify", "bound", "--eps", "0.7"],    # u_bound_check's limit
                  ["verify", "bound", "--eps", "0.1,-1"],
                  ["verify", "wick", "--N", "0"], ["verify", "wick", "--d", ","],
+                 # the oracle's covariance grows as (2 d N^2)^2: caps 8 and 4
+                 ["verify", "wick", "--N", "9"],
+                 ["verify", "propagators", "--N", "2,9"],
+                 ["verify", "bound", "--d", "5"],
                  ["expand", "--format", "xml"],
                  ["expand", "--convention", "other"],
                  # --action is standard or wick_ordered, for every command
@@ -270,6 +288,8 @@ def test_parser_flags_exist():
     args = parser.parse_args(["verify", "bound", "--N", "1,2", "--d", "1",
                               "--eps", "0.1,0.01"])
     assert args.N == (1, 2) and args.d == (1,) and args.eps == (0.1, 0.01)
+    args = parser.parse_args(["verify", "wick", "--N", "1,8", "--d", "4"])
+    assert (args.N, args.d) == ((1, 8), (4,))
     args = parser.parse_args(["verify", "logcheck"])
     assert (args.kmax, args.threads) == (3, 1)
 
@@ -435,10 +455,10 @@ def test_verify_euler_out_replaces_stale_records_on_a_failing_run(
 def test_verify_propagators_fails_on_wrong_propagator(monkeypatch, capsys):
     real = gaussian.propagator
 
-    def no_greek_delta(x, y, N=None, d=None):
+    def no_greek_delta(x, y):
         if x.mu != y.mu and x.family != y.family:
             return 1j
-        return real(x, y, N=N, d=d)
+        return real(x, y)
 
     monkeypatch.setattr(gaussian, "propagator", no_greek_delta)
     assert run(["verify", "propagators", "--N", "1", "--d", "2"]) == 1

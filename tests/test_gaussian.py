@@ -12,7 +12,7 @@ from triline.gaussian import (A, B, EntrySymbol, RegKernel, free_partition,
                               iter_pair_partitions, propagator,
                               t_transform_limit, t_transform_reg,
                               u_bound_check, wick_moment, wick_order_quartic)
-from triline.oracle import gaussian_oracle_moment, richardson_limit
+from triline.oracle import OracleCovariance, entry_positions, richardson_limit
 
 
 def test_free_partition_closed_form():
@@ -55,7 +55,6 @@ def test_t_transform_single_entry_exact():
 
 
 def test_t_transform_oracle_cross_check():
-    from triline.oracle import OracleCovariance
     N, d, eps = 2, 1, 0.2
     fg = MatrixPair.random(N, d, seed=3)
     want = OracleCovariance(N, d, eps).char_function(fg)
@@ -72,13 +71,6 @@ def test_propagator_delta_pattern():
     # same family never pairs
     assert propagator(A(1, 1, 2), A(1, 2, 1)) == 0
     assert propagator(B(1, 1, 1), B(1, 1, 1)) == 0
-
-
-def test_propagator_bounds_checked():
-    with pytest.raises(ValidationError):
-        propagator(A(1, 1, 2), B(1, 2, 1), N=1, d=1)
-    with pytest.raises(ValidationError):
-        propagator(A(3, 1, 1), B(3, 1, 1), N=2, d=2)
 
 
 def test_pair_partition_counts():
@@ -107,7 +99,8 @@ def test_wick_moment_matches_oracle_spot():
     N, d = 2, 2
     entries = [A(1, 1, 2), B(1, 2, 1), A(2, 2, 2), B(2, 2, 2)]
     want = wick_moment(entries)
-    got = richardson_limit(lambda e: gaussian_oracle_moment(entries, N, d, e))
+    pos = entry_positions([entries], N, d)
+    (got,) = richardson_limit(lambda e: OracleCovariance(N, d, e).moments(pos))
     assert abs(got - complex(want)) < 1e-10
 
 
@@ -123,6 +116,9 @@ def test_u_bound_holds_and_detects_violation():
     zs = [0.5, 1j, -0.3 + 0.8j]
     assert u_bound_check(fg, zs) is True
     assert u_bound_check(fg, zs, inflate=1e12) is False
+    # T1 reaches 510 at N = 8, d = 4: exp(2 |z|^2 T1) overflows a float
+    for seed in (1, 2):
+        assert u_bound_check(MatrixPair.random(8, 4, seed=seed), zs) is True
 
 
 def test_u_bound_epsilon_cap():

@@ -6,9 +6,8 @@ import pytest
 
 from triline.cosbasis import KIND_DIAG, KIND_RE, MatrixPair, cos_basis
 from triline.errors import InvariantViolation, ValidationError
-from triline.gaussian import A, B, free_partition
-from triline.oracle import (OracleCovariance, cached_oracle, entry_positions,
-                            gaussian_oracle_moment, richardson_limit)
+from triline.gaussian import A, B, entry_pool, free_partition
+from triline.oracle import OracleCovariance, entry_positions, richardson_limit
 
 
 def test_normalization_extrapolates_to_free_partition():
@@ -77,28 +76,29 @@ def test_oracle_keeps_only_the_covariance():
 
 def test_entry_covariance_finite_epsilon_values():
     # at finite eps the same-family transposed pair is eps/(1+eps^2), not 0
-    orc = OracleCovariance(2, 1, 0.3)
-    val = orc.moment([A(1, 1, 2), A(1, 2, 1)])
+    x = A(1, 1, 2)
+    val, same, cross = OracleCovariance(2, 1, 0.3).moments(entry_positions(
+        [(x, A(1, 2, 1)), (x, x), (x, B(1, 2, 1))], 2, 1))
     assert val == pytest.approx(0.3 / 1.09, rel=1e-10)
     # the non-transposed same-family pair vanishes at every eps
-    assert abs(orc.moment([A(1, 1, 2), A(1, 1, 2)])) < 1e-14
+    assert abs(same) < 1e-14
     # cross-family transposed pair tends to i
-    cross = orc.moment([A(1, 1, 2), B(1, 2, 1)])
     assert cross == pytest.approx(1j / 1.09, rel=1e-10)
 
 
 def test_propagator_limits():
     # eps -> 0: AB -> i, AA -> 0
-    got = richardson_limit(lambda e: gaussian_oracle_moment(
-        [A(1, 1, 2), B(1, 2, 1)], 2, 1, e))
-    assert abs(got - 1j) < 1e-10
-    got = richardson_limit(lambda e: gaussian_oracle_moment(
-        [A(1, 1, 2), A(1, 2, 1)], 2, 1, e))
-    assert abs(got) < 1e-10
+    pos = entry_positions([(A(1, 1, 2), B(1, 2, 1)), (A(1, 1, 2), A(1, 2, 1))],
+                          2, 1)
+    cross, same = richardson_limit(
+        lambda e: OracleCovariance(2, 1, e).moments(pos))
+    assert abs(cross - 1j) < 1e-10
+    assert abs(same) < 1e-10
 
 
 def test_moment_odd_degree_zero():
-    assert gaussian_oracle_moment([A(1, 1, 1)], 1, 1, 0.2) == 0
+    orc = OracleCovariance(1, 1, 0.2)
+    assert orc.moments(entry_positions([[A(1, 1, 1)]], 1, 1)).tolist() == [0]
 
 
 def test_char_function_against_quadrature():
@@ -121,7 +121,7 @@ def test_oracle_validates_inputs():
     with pytest.raises(ValidationError):
         OracleCovariance(2, 1, -0.5)
     with pytest.raises(ValidationError):
-        gaussian_oracle_moment([A(1, 1, 3)], 2, 1, 0.1)
+        entry_positions([[A(1, 1, 3)]], 2, 1)
 
 
 def test_richardson_exact_polynomial():
@@ -136,14 +136,8 @@ def test_richardson_relative_tolerance_for_large_values():
     assert got == pytest.approx(scale, rel=1e-9)
 
 
-def _pool(N, d):
-    return [(A if f == "A" else B)(mu, k, l) for f in "AB"
-            for mu in range(1, d + 1) for k in range(1, N + 1)
-            for l in range(1, N + 1)]
-
-
 def test_entry_positions_follow_pool_order_and_check_bounds():
-    pool = _pool(2, 2)
+    pool = entry_pool(2, 2)
     assert entry_positions(pool, 2, 2).tolist() == list(range(len(pool)))
     assert entry_positions([pool[:2], pool[2:4]], 2, 2).shape == (2, 2)
     with pytest.raises(ValidationError):
@@ -157,13 +151,13 @@ def test_entry_positions_follow_pool_order_and_check_bounds():
 
 def test_moments_batch_equals_per_product_rows():
     N, d = 2, 2
-    pool = _pool(N, d)
+    pool = entry_pool(N, d)
     orc = OracleCovariance(N, d, 0.07)
     rng = np.random.default_rng(5)
     for deg in (0, 2, 4, 6):
         pos = rng.integers(0, len(pool), size=(40, deg))
         batch = orc.moments(pos)
-        rows = [orc.moment([pool[i] for i in row]) for row in pos]
+        rows = [orc.moments(row[None])[0] for row in pos]
         assert np.allclose(batch, rows, rtol=0, atol=1e-13)
         # a moment is symmetric in its factors
         shuffled = rng.permuted(pos, axis=1)
@@ -175,13 +169,11 @@ def test_moments_batch_equals_per_product_rows():
 
 def test_moment_of_four_is_the_three_pairings():
     orc = OracleCovariance(2, 1, 0.2)
-
-    def c(x, y):
-        return orc.moment([x, y])
-
-    x, y, z, w = A(1, 1, 2), B(1, 2, 1), A(1, 2, 1), B(1, 1, 2)
-    want = c(x, y) * c(z, w) + c(x, z) * c(y, w) + c(x, w) * c(y, z)
-    assert orc.moment([x, y, z, w]) == pytest.approx(want, abs=1e-14)
+    x, y, z, w = entry_positions([A(1, 1, 2), B(1, 2, 1), A(1, 2, 1),
+                                  B(1, 1, 2)], 2, 1)
+    c = orc.cov
+    want = c[x, y] * c[z, w] + c[x, z] * c[y, w] + c[x, w] * c[y, z]
+    assert orc.moments([[x, y, z, w]])[0] == pytest.approx(want, abs=1e-14)
 
 
 def test_richardson_array_matches_scalar_calls():
@@ -200,10 +192,10 @@ def test_richardson_array_matches_scalar_calls():
 
 def test_richardson_on_the_entry_covariance_matrix():
     N, d = 2, 1
-    pool = _pool(N, d)
-    cov = richardson_limit(lambda e: cached_oracle(N, d, e).cov)
-    for i, x in enumerate(pool):
-        for j, y in enumerate(pool):
+    n = len(entry_pool(N, d))
+    cov = richardson_limit(lambda e: OracleCovariance(N, d, e).cov)
+    for i in range(n):
+        for j in range(n):
             one = richardson_limit(
-                lambda e: gaussian_oracle_moment([x, y], N, d, e))
+                lambda e: OracleCovariance(N, d, e).moments([[i, j]])[0])
             assert abs(cov[i, j] - one) < 1e-12

@@ -12,7 +12,7 @@ from triline.errors import (InvariantViolation, ResourceLimitError,
                             StructureError, ValidationError)
 from triline.gaussian import EntrySymbol
 from triline.mixed import counterterm_series
-from triline.oracle import gaussian_oracle_moment, richardson_limit
+from triline.oracle import OracleCovariance, entry_positions, richardson_limit
 from triline.series import (F_of_g, FlpTable, TriSeries, assemble_Z,
                             census_table, coeff_json, connected_assemble,
                             double_limit_check, extract_Flp, f_to_json,
@@ -100,8 +100,9 @@ def test_standard_assembly_first_order_against_oracle():
                  for mu, nu, j, l, m, n in itertools.product(
                      range(1, d + 1), range(1, d + 1),
                      *[range(1, N + 1)] * 4)]
-        got = richardson_limit(lambda eps: sum(
-            gaussian_oracle_moment(w, N, d, eps) for w in words))
+        pos = entry_positions(words, N, d)
+        got = richardson_limit(
+            lambda eps: OracleCovariance(N, d, eps).moments(pos).sum())
         want = -2 * N ** 3 * d
         assert abs(got - want) < 1e-8
         assert abs(implied - want) < 1e-12
