@@ -1,8 +1,8 @@
 """Exact triple-line expansion of the two-family quartic matrix model.
 
-Modules, bottom up: :mod:`cosbasis` (real coordinates of Hermitian matrix
-pairs); :mod:`gaussian` (the regularized weight, T-transforms, propagators,
-Wick sums) with the numeric oracle :mod:`oracle`; :mod:`diagrams`
+Modules, bottom up: :mod:`gaussian` (Hermitian test-function pairs, the
+regularized weight, T-transforms, propagators, Wick sums) with the numeric
+oracle :mod:`oracle` (its own real coordinates); :mod:`diagrams`
 (pairings, triple-line loops, genus) with :mod:`census` (the frontier
 census and the row walk over the same moves); :mod:`series`
 (exact Z, ln Z, F_{l,p} and F(g), cross-checked by :mod:`mixed`);

@@ -10,9 +10,9 @@ for every moment at once and drop it after the extrapolation.
 Machine output goes to --out (or stdout); human summaries go to stderr.
 ``expand`` and ``verify logcheck`` still accept ``--threads`` (>= 1) and
 ignore it: the census runs in one process.  numpy and the modules that
-load it (``cosbasis``, ``gaussian``, ``oracle``) are imported by the
-handlers that use them, so ``expand``, ``knots``, ``verify logcheck`` and
-``verify euler`` never load numpy.
+load it (``gaussian``, ``oracle``) are imported by the handlers that use
+them, so ``expand``, ``knots``, ``verify logcheck`` and ``verify euler``
+never load numpy.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ _FLAGS = {
                               f"an order in 0..{DEFAULT_KMAX}"), "default": 3},
     "N": {"type": _sizes(8), "default": (1, 2)},
     "d": {"type": _sizes(4), "default": (1, 2)},
-    # u_bound_check's regularized kernel needs eps <= 1/2
+    # u_bound_check's bound regime needs eps <= 1/2
     "eps": {"type": _checked(_list_of(float),
                              lambda v: v and all(0 < e <= 0.5 for e in v),
                              "comma-separated epsilons in (0, 0.5]"),
@@ -306,15 +306,14 @@ def _verify_logcheck(args: argparse.Namespace, failures: list[str]) -> None:
 
 
 def _verify_bound(args: argparse.Namespace, failures: list[str]) -> None:
-    from .cosbasis import MatrixPair
-    from .gaussian import RegKernel, u_bound_check
+    from .gaussian import MatrixPair, u_bound_check
     z_samples = [0.5, 1j, 0.7 - 0.3j, -1.1 + 0.4j]
     for N in args.N:
         for d in args.d:
             for seed in (1, 2):
                 fg = MatrixPair.random(N, d, seed=seed)
                 for eps in args.eps:
-                    if not u_bound_check(fg, z_samples, kernel=RegKernel(eps)):
+                    if not u_bound_check(fg, z_samples, eps):
                         failures.append(f"bound N={N} d={d} eps={eps} seed={seed}")
 
 

@@ -3,7 +3,8 @@
 The distribution of interest is the eps -> 0 limit of the complex weight
 exp(-eps/2 (Tr A_mu A_mu + Tr B_mu B_mu) + i Tr(A_mu B_mu)) on pairs of
 d-tuples of Hermitian N x N matrices (summation over mu).  Pairing it with
-exp(i <(A,B), (F,G)>) gives the closed forms implemented here:
+exp(i <(A,B), (F,G)>), for a test-function pair (F, G) held by
+``MatrixPair``, gives the closed forms implemented here:
 
     reg:   2^{dN} (pi / sqrt(eps^2+1))^{dN^2}
            * exp(-(eps T1 + 2i T2) / (2 (eps^2+1)))
@@ -24,23 +25,55 @@ from __future__ import annotations
 import functools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cosbasis import MatrixPair
 from .errors import InvariantViolation, ValidationError
+
+_HERMITICITY_TOL = 1e-12
+
+
+def _as_hermitian_stack(mats, N: int, d: int, label: str) -> np.ndarray:
+    arr = np.asarray(mats, dtype=complex)
+    if arr.shape != (d, N, N):
+        raise ValidationError(
+            f"{label} must have shape ({d}, {N}, {N}), got {arr.shape}")
+    dev = np.max(np.abs(arr - arr.conj().transpose(0, 2, 1)))
+    scale = 1.0 + float(np.max(np.abs(arr))) if arr.size else 1.0
+    if dev > _HERMITICITY_TOL * scale:
+        raise ValidationError(f"{label} is not Hermitian (max deviation {dev:g})")
+    return arr
 
 
 @dataclass(frozen=True)
-class RegKernel:
-    """Regularization strength of the damped quadratic kernel."""
+class MatrixPair:
+    """A test-function pair: d Hermitian N x N matrices per family slot."""
 
-    epsilon: float
+    N: int
+    d: int
+    F: np.ndarray = field(repr=False)
+    G: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be > 0")
+        if self.N < 1 or self.d < 1:
+            raise ValidationError("N and d must be >= 1")
+        object.__setattr__(self, "F", _as_hermitian_stack(self.F, self.N, self.d, "F"))
+        object.__setattr__(self, "G", _as_hermitian_stack(self.G, self.N, self.d, "G"))
+
+    @classmethod
+    def zeros(cls, N: int, d: int) -> "MatrixPair":
+        z = np.zeros((d, N, N), dtype=complex)
+        return cls(N, d, z, z.copy())
+
+    @classmethod
+    def random(cls, N: int, d: int, seed: int = 0, scale: float = 1.0) -> "MatrixPair":
+        """Seeded random Hermitian pair, for oracle comparisons and sweeps."""
+        rng = np.random.default_rng(seed)
+        def herm():
+            raw = rng.normal(size=(d, N, N)) + 1j * rng.normal(size=(d, N, N))
+            return scale * 0.5 * (raw + raw.conj().transpose(0, 2, 1))
+        return cls(N, d, herm(), herm())
 
 
 def free_partition(N: int, d: int) -> float:
@@ -58,9 +91,10 @@ def _trace_sums(FG: MatrixPair) -> tuple[float, float]:
     return t1, t2
 
 
-def t_transform_reg(FG: MatrixPair, kernel: RegKernel) -> complex:
+def t_transform_reg(FG: MatrixPair, eps: float) -> complex:
     """Pairing of the regularized weight with exp(i <., (F,G)>), closed form."""
-    eps = kernel.epsilon
+    if not eps > 0:
+        raise ValidationError("epsilon must be > 0")
     t1, t2 = _trace_sums(FG)
     dn2 = FG.d * FG.N * FG.N
     pref = 2.0 ** (FG.d * FG.N) * (math.pi / math.sqrt(eps * eps + 1.0)) ** dn2
@@ -73,7 +107,7 @@ def t_transform_limit(FG: MatrixPair) -> complex:
     return free_partition(FG.N, FG.d) * np.exp(-1j * t2)
 
 
-def u_bound_check(FG: MatrixPair, z_samples, kernel: RegKernel | None = None,
+def u_bound_check(FG: MatrixPair, z_samples, eps: float = 0.1,
                   inflate: float = 1.0) -> bool:
     """Entire-growth bound on the normalized transform along complex rays.
 
@@ -85,10 +119,8 @@ def u_bound_check(FG: MatrixPair, z_samples, kernel: RegKernel | None = None,
     than re-validated).  ``inflate`` multiplies the left side; values > 1
     serve as a negative control.
     """
-    kernel = kernel or RegKernel(0.1)
-    if kernel.epsilon > 0.5:
-        raise ValidationError("bound regime requires epsilon <= 0.5")
-    eps = kernel.epsilon
+    if not 0 < eps <= 0.5:
+        raise ValidationError("bound regime requires 0 < epsilon <= 0.5")
     t1, t2 = _trace_sums(FG)
     denom = 2.0 * (eps * eps + 1.0)
     return all(math.log(inflate)

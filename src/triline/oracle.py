@@ -8,8 +8,9 @@ M whose real part eps*I is positive definite, everything is exact linear
 algebra:
 
 * moments: Isserlis pairing sums over one entry-covariance matrix per
-  eps, K = C Sigma C^T, batched over products; M = kron(2 x 2 block,
-  diagonal), so Sigma = M^{-1} comes from the block's inverse;
+  eps.  C expands one family's entries over its coordinates and s holds
+  their norms^2 (``_coordinates``); M = kron(2 x 2 block, diag(s)), so
+  cov = kron(block^{-1}, K0) with the eps-free K0 = C diag(1/s) C^T;
 * normalization: (2 pi)^{n/2} / sqrt(det M);
 * characteristic function: normalization * exp(-1/2 j^T Sigma j).
 
@@ -32,17 +33,17 @@ import math
 
 import numpy as np
 
-from .cosbasis import (FAMILIES, KIND_DIAG, KIND_IM, KIND_RE, MatrixPair,
-                       cos_basis)
 from .errors import InvariantViolation, ValidationError
-from .gaussian import validate_entries
+from .gaussian import MatrixPair, validate_entries
 
 _RESIDUAL_TOL = 1e-10
 _COUPLING = ((0, 1), (1, 0))    # i Tr(A_mu B_mu) per coordinate pair
+# richardson_limit's eps-sequence: 0.1, 0.01, ..., at most six points
+_EPS_START, _EPS_RATIO, _EPS_POINTS, _EPS_TOL = 0.1, 0.1, 6, 1e-9
 
 
 def _position(family: str, mu: int, k: int, l: int, N: int, d: int) -> int:
-    return ((FAMILIES.index(family) * d + mu - 1) * N + k - 1) * N + l - 1
+    return (("AB".index(family) * d + mu - 1) * N + k - 1) * N + l - 1
 
 
 def entry_positions(entries, N: int, d: int) -> np.ndarray:
@@ -58,18 +59,42 @@ def entry_positions(entries, N: int, d: int) -> np.ndarray:
     return np.array(pos, dtype=np.intp).reshape(arr.shape)
 
 
+def _coordinates(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entry expansion C (dN^2 x dN^2) and norms^2 s of one family's
+    real coordinates.
+
+    Coordinates per mu: the N diagonal entries, then for each k < l in
+    lexicographic order the real and the imaginary part of entry (k, l).
+    Column c of C holds coordinate c's coefficients on the entries, in
+    ``entry_positions`` order: 1 for a diagonal or real part, +-i at
+    (k, l)/(l, k) for an imaginary part.  So vec F = C y for a Hermitian F
+    with coordinates y, C^H C = diag(s), and Tr(F F) = sum_c s_c y_c^2.
+    """
+    n = N * N
+    idx = np.arange(n).reshape(N, N)
+    k, l = np.triu_indices(N, 1)
+    re = N + 2 * np.arange(len(k))
+    one = np.zeros((n, n), dtype=complex)
+    one[idx.diagonal(), np.arange(N)] = 1.0
+    one[idx[k, l], re] = one[idx[l, k], re] = 1.0
+    one[idx[k, l], re + 1] = 1.0j
+    one[idx[l, k], re + 1] = -1.0j
+    s = np.where(np.arange(n) < N, 1.0, 2.0)
+    return np.kron(np.eye(d), one), np.tile(s, d)
+
+
 class OracleCovariance:
     """Entry covariance of one eps; dense ``coupling``/``inverse`` on demand.
 
-    Coordinates are the orthogonal-basis tags of ``cos_basis``, family A's
-    block first and family B's in the same order.  The coupling pairs each A
-    coordinate with its B twin: M = kron(block, diag(s)), block = eps * I -
-    i * [[0, 1], [1, 0]] from i Tr(A_mu B_mu), s = 1 for
-    diagonal coordinates and 2 for off-diagonal ones (they appear twice in
-    each trace), so Sigma = kron(block^{-1}, diag(1/s)).  ``cov = C Sigma
-    C^T`` holds the second moment of every pair of matrix entries in
-    ``entry_positions`` order, gathered from Sigma: a row of C has at most
-    two terms, with coefficients 1 and +-i.
+    Coordinates are ``_coordinates``' for family A, then the same for
+    family B.  The coupling pairs each A coordinate with its B twin:
+    M = kron(block, diag(s)), block = eps * I - i * [[0, 1], [1, 0]] from
+    i Tr(A_mu B_mu), s = 1 for diagonal coordinates and 2 for off-diagonal
+    ones (they appear twice in each trace), so Sigma =
+    kron(block^{-1}, diag(1/s)).  C acts on each family alike, so
+    ``cov`` = kron(I, C) Sigma kron(I, C)^T = kron(block^{-1}, C diag(1/s) C^T)
+    holds the second moment of every pair of matrix entries in
+    ``entry_positions`` order.  C is rebuilt when needed, not kept.
     """
 
     def __init__(self, N: int, d: int, epsilon: float):
@@ -80,10 +105,7 @@ class OracleCovariance:
         self.N = N
         self.d = d
         self.epsilon = epsilon
-        self.labels = cos_basis(N, d)
-        n = len(self.labels)
-        self.scale = np.array(
-            [1.0 if e.kind == KIND_DIAG else 2.0 for e in self.labels[:n // 2]])
+        C, self.scale = _coordinates(N, d)
         self.block = epsilon * np.eye(2) - 1j * np.array(_COUPLING)
         (b00, b01), (b10, b11) = self.block
         self.block_inverse = (np.array([[b11, -b01], [-b10, b00]])
@@ -93,22 +115,7 @@ class OracleCovariance:
         if not resid <= _RESIDUAL_TOL:
             raise InvariantViolation(
                 f"coupling inverse residual {resid:g} exceeds {_RESIDUAL_TOL}")
-        # rows of C as (coordinate, coefficient) pairs; slot 1: imaginary part
-        coord = np.zeros((n, 2), dtype=np.intp)
-        coef = np.zeros((n, 2), dtype=complex)
-        for i, e in enumerate(self.labels):
-            rows = [_position(e.family, e.mu, e.k, e.l, N, d),
-                    _position(e.family, e.mu, e.l, e.k, N, d)]
-            slot = int(e.kind == KIND_IM)
-            coord[rows, slot] = i
-            coef[rows, slot] = (1.0j, -1.0j) if slot else 1.0
-        # Sigma[i, j] = block^{-1}[i // h, j // h] / s[i % h] if i % h == j % h
-        fam, loc = np.divmod(coord, n // 2)
-        self.cov = np.zeros((n, n), dtype=complex)
-        for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            p, q = np.nonzero(loc[:, s, None] == loc[None, :, t])
-            self.cov[p, q] += (coef[p, s] * coef[q, t] / self.scale[loc[p, s]]
-                               * self.block_inverse[fam[p, s], fam[q, t]])
+        self.cov = np.kron(self.block_inverse, (C / self.scale) @ C.T)
 
     @property
     def coupling(self) -> np.ndarray:
@@ -138,7 +145,7 @@ class OracleCovariance:
 
     def normalization(self) -> complex:
         """Total Gaussian integral (2 pi)^{n/2} / sqrt(det M)."""
-        n = len(self.labels)
+        n = len(self.cov)
         sign, logabs = np.linalg.slogdet(self.coupling)
         sqrt_det = np.exp(0.5 * logabs) * np.sqrt(sign)
         return (2.0 * math.pi) ** (n / 2.0) / sqrt_det
@@ -147,16 +154,9 @@ class OracleCovariance:
         """Integral of exp(i <(A,B),(F,G)>) against the unnormalized weight."""
         if (FG.N, FG.d) != (self.N, self.d):
             raise ValidationError("MatrixPair shape does not match oracle")
-        n = len(self.labels)
-        j = np.zeros(n, dtype=complex)
-        for i, e in enumerate(self.labels):
-            m = FG.F[e.mu - 1] if e.family == "A" else FG.G[e.mu - 1]
-            if e.kind == KIND_DIAG:
-                j[i] = m[e.k - 1, e.k - 1].real
-            elif e.kind == KIND_RE:
-                j[i] = 2.0 * m[e.k - 1, e.l - 1].real
-            else:
-                j[i] = 2.0 * m[e.k - 1, e.l - 1].imag
+        C, _ = _coordinates(self.N, self.d)
+        j = np.concatenate([C.conj().T @ FG.F.reshape(-1),
+                            C.conj().T @ FG.G.reshape(-1)]).real
         return self.normalization() * np.exp(-0.5 * (j @ self.inverse @ j))
 
 
@@ -171,26 +171,29 @@ def _isserlis(cov: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return total
 
 
-def richardson_limit(f, start: float = 0.1, ratio: float = 0.1,
-                     tol: float = 1e-9, max_points: int = 6):
-    """Extrapolate f(eps) to eps = 0 along a geometric sequence.
+def richardson_limit(f):
+    """Extrapolate f(eps) to eps = 0 along eps = 0.1, 0.01, ... (six points).
 
     Neville's tableau evaluated at 0; stops once successive diagonal
-    estimates agree to ``tol`` (relative for values above 1 in modulus).
+    estimates agree to 1e-9 (relative for values above 1 in modulus).
     An array-valued f is extrapolated element by element and stops when
-    every element agrees; a scalar f returns a ``complex``.
+    every element agrees; a scalar f returns a ``complex``.  A tableau that
+    has not settled by the last point raises ``InvariantViolation``.
     """
     xs: list[float] = []
     p: list[np.ndarray] = []
     prev = None
-    for m in range(max_points):
-        x = start * ratio ** m
+    for m in range(_EPS_POINTS):
+        x = _EPS_START * _EPS_RATIO ** m
         xs.append(x)
         p.append(np.asarray(f(x), dtype=complex))
         for j in range(len(p) - 2, -1, -1):
             p[j] = (x * p[j] - xs[j] * p[j + 1]) / (x - xs[j])
-        if prev is not None and np.all(
-                np.abs(p[0] - prev) <= tol * np.maximum(1.0, np.abs(p[0]))):
-            break
+        tol = _EPS_TOL * np.maximum(1.0, np.abs(p[0]))
+        if prev is not None and np.all(np.abs(p[0] - prev) <= tol):
+            return complex(p[0]) if p[0].ndim == 0 else p[0]
         prev = p[0]
-    return complex(p[0]) if p[0].ndim == 0 else p[0]
+    change = float(np.max(np.abs(p[0] - prev)))
+    raise InvariantViolation(
+        f"eps -> 0 extrapolation did not settle in {_EPS_POINTS} points "
+        f"(last change {change:g})")

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triline.cosbasis import MatrixPair
 from triline.errors import ValidationError
-from triline.gaussian import (A, B, EntrySymbol, RegKernel, free_partition,
+from triline.gaussian import (A, B, EntrySymbol, MatrixPair, free_partition,
                               iter_pair_partitions, propagator,
                               t_transform_limit, t_transform_reg,
                               u_bound_check, wick_moment, wick_order_quartic)
@@ -23,17 +22,18 @@ def test_free_partition_closed_form():
 
 
 def test_reg_kernel_requires_positive_epsilon():
+    fg = MatrixPair.zeros(1, 1)
     with pytest.raises(ValidationError):
-        RegKernel(0.0)
+        t_transform_reg(fg, 0.0)
     with pytest.raises(ValidationError):
-        RegKernel(-0.1)
+        t_transform_reg(fg, -0.1)
 
 
 def test_t_transform_zero_argument_matches_partition():
     N, d = 2, 2
     fg = MatrixPair.zeros(N, d)
     eps = 0.3
-    val = t_transform_reg(fg, RegKernel(eps))
+    val = t_transform_reg(fg, eps)
     want = 2.0 ** (d * N) * (math.pi / math.sqrt(eps * eps + 1.0)) ** (d * N * N)
     assert val == pytest.approx(want, rel=1e-12)
     assert t_transform_limit(fg) == pytest.approx(free_partition(N, d), rel=1e-12)
@@ -47,18 +47,20 @@ def test_t_transform_single_entry_exact():
     fg = MatrixPair(N, d, F, np.zeros_like(F))
     base = 2.0 ** (d * N) * (math.pi / math.sqrt(eps * eps + 1.0)) ** (d * N * N)
     want = base * np.exp(-(eps * x * x) / (2.0 * (eps * eps + 1.0)))
-    assert t_transform_reg(fg, RegKernel(eps)) == pytest.approx(want, rel=1e-12)
+    assert t_transform_reg(fg, eps) == pytest.approx(want, rel=1e-12)
     # coupled F = G = diag(x, 0): T2 = x^2 produces the oscillatory factor
     fg2 = MatrixPair(N, d, F, F.copy())
     want2 = base * np.exp(-(eps * 2 * x * x + 2j * x * x) / (2 * (eps * eps + 1)))
-    assert t_transform_reg(fg2, RegKernel(eps)) == pytest.approx(want2, rel=1e-12)
+    assert t_transform_reg(fg2, eps) == pytest.approx(want2, rel=1e-12)
 
 
 def test_t_transform_oracle_cross_check():
-    N, d, eps = 2, 1, 0.2
-    fg = MatrixPair.random(N, d, seed=3)
-    want = OracleCovariance(N, d, eps).char_function(fg)
-    assert t_transform_reg(fg, RegKernel(eps)) == pytest.approx(want, rel=1e-10)
+    # d > 1 checks that vec F and the oracle's coordinates agree on mu's order
+    eps = 0.2
+    for N, d in ((2, 1), (3, 2)):
+        fg = MatrixPair.random(N, d, seed=3)
+        want = OracleCovariance(N, d, eps).char_function(fg)
+        assert t_transform_reg(fg, eps) == pytest.approx(want, rel=1e-10)
 
 
 def test_propagator_delta_pattern():
@@ -124,7 +126,26 @@ def test_u_bound_holds_and_detects_violation():
 def test_u_bound_epsilon_cap():
     fg = MatrixPair.random(2, 1, seed=1)
     with pytest.raises(ValidationError):
-        u_bound_check(fg, [1.0], kernel=RegKernel(0.9))
+        u_bound_check(fg, [1.0], eps=0.9)
+    with pytest.raises(ValidationError):
+        u_bound_check(fg, [1.0], eps=0.0)
+
+
+def test_matrix_pair_validation():
+    with pytest.raises(ValidationError):
+        MatrixPair(2, 1, np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
+    bad = np.zeros((1, 2, 2), dtype=complex)
+    bad[0, 0, 1] = 1.0   # not Hermitian
+    with pytest.raises(ValidationError):
+        MatrixPair(2, 1, bad, np.zeros((1, 2, 2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 10_000))
+def test_random_pairs_always_hermitian(N, d, seed):
+    fg = MatrixPair.random(N, d, seed=seed)
+    assert np.allclose(fg.F, np.conj(np.swapaxes(fg.F, -1, -2)))
+    assert np.allclose(fg.G, np.conj(np.swapaxes(fg.G, -1, -2)))
 
 
 @settings(max_examples=40, deadline=None)

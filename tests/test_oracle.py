@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from triline.cosbasis import KIND_DIAG, KIND_RE, MatrixPair, cos_basis
 from triline.errors import InvariantViolation, ValidationError
-from triline.gaussian import A, B, entry_pool, free_partition
-from triline.oracle import OracleCovariance, entry_positions, richardson_limit
+from triline.gaussian import A, B, MatrixPair, entry_pool, free_partition
+from triline.oracle import (OracleCovariance, _coordinates, entry_positions,
+                            richardson_limit)
 
 
 def test_normalization_extrapolates_to_free_partition():
@@ -21,32 +21,49 @@ def test_normalization_extrapolates_to_free_partition():
 
 def test_coupling_inverse_residual_guard():
     orc = OracleCovariance(3, 2, 0.05)
-    n = len(orc.labels)
+    n = len(orc.cov)
     residual = np.max(np.abs(orc.coupling @ orc.inverse - np.eye(n)))
     assert residual < 1e-10
 
 
 def _dense_reference(N, d, eps):
     """Dense coupling M, entry expansion C and Sigma = inv(M), built directly."""
-    labels = cos_basis(N, d)
-    n = len(labels)
-    scale = [1.0 if e.kind == KIND_DIAG else 2.0 for e in labels[:n // 2]]
+    # coordinates per family and mu: diagonal entries, then Re and Im of
+    # each above-diagonal entry; entry (f, mu, k, l) in entry_positions order
+    coords = [(f, mu, kind, k, l) for f in (0, 1) for mu in range(d)
+              for kind, k, l in [("diag", k, k) for k in range(N)]
+              + [(kind, k, l) for k in range(N) for l in range(k + 1, N)
+                 for kind in ("re", "im")]]
+    n = len(coords)
+    scale = [1.0 if kind == "diag" else 2.0 for _, _, kind, _, _ in coords]
     # i Tr(A B) pairs each A coordinate with its B twin
     M = np.kron(eps * np.eye(2) - 1j * np.array([[0, 1], [1, 0]]),
-                np.diag(scale))
+                np.diag(scale[:n // 2]))
 
-    def pos(e, k, l):
-        return (("AB".index(e.family) * d + e.mu - 1) * N + k - 1) * N + l - 1
+    def pos(f, mu, k, l):
+        return ((f * d + mu) * N + k) * N + l
 
     C = np.zeros((n, n), dtype=complex)
-    for i, e in enumerate(labels):
-        if e.kind == KIND_DIAG:
-            C[pos(e, e.k, e.k), i] = 1.0
-        elif e.kind == KIND_RE:
-            C[pos(e, e.k, e.l), i] = C[pos(e, e.l, e.k), i] = 1.0
+    for i, (f, mu, kind, k, l) in enumerate(coords):
+        if kind == "diag":
+            C[pos(f, mu, k, k), i] = 1.0
+        elif kind == "re":
+            C[pos(f, mu, k, l), i] = C[pos(f, mu, l, k), i] = 1.0
         else:
-            C[pos(e, e.k, e.l), i], C[pos(e, e.l, e.k), i] = 1.0j, -1.0j
+            C[pos(f, mu, k, l), i], C[pos(f, mu, l, k), i] = 1.0j, -1.0j
     return M, C, np.linalg.inv(M)
+
+
+def test_coordinates_expand_hermitian_matrices():
+    for N in (1, 2, 3):
+        for d in (1, 2):
+            C, s = _coordinates(N, d)
+            assert C.shape == (d * N * N, d * N * N)
+            assert np.array_equal(C.conj().T @ C, np.diag(s))
+            F = MatrixPair.random(N, d, seed=N + d).F.reshape(-1)
+            y = C.conj().T @ F
+            assert np.max(np.abs(y.imag)) <= 1e-12
+            assert np.allclose((C / s) @ y, F, rtol=0, atol=1e-12)
 
 
 def test_block_covariance_equals_dense_reference():
@@ -68,7 +85,7 @@ def test_oracle_keeps_only_the_covariance():
     # coupling and inverse are built on demand, never stored
     for N, d in ((1, 1), (3, 2), (4, 3)):
         orc = OracleCovariance(N, d, 0.01)
-        n = len(orc.labels)
+        n = len(orc.cov)
         held = sum(v.nbytes for v in vars(orc).values()
                    if isinstance(v, np.ndarray))
         assert held <= orc.cov.nbytes + 64 * n + 256
@@ -128,6 +145,12 @@ def test_richardson_exact_polynomial():
     # f(e) = 3 - 2 e + 5 e^2 extrapolates exactly from 3 points
     got = richardson_limit(lambda e: 3 - 2 * e + 5 * e * e)
     assert got == pytest.approx(3.0, abs=1e-12)
+
+
+def test_richardson_raises_when_the_tableau_does_not_settle():
+    # log(eps) has no limit at eps = 0: no polynomial in eps fits it
+    with pytest.raises(InvariantViolation):
+        richardson_limit(lambda e: math.log(e))
 
 
 def test_richardson_relative_tolerance_for_large_values():
