@@ -1,7 +1,7 @@
 """Pairing census by a transfer matrix over open ends, and the row walk.
 
-The census of order k is the exact histogram {(C, l, connected, tadpole):
-count} over the (2k)! ab pairings.  One representative row bp (the B-index
+The census of order k is the exact histogram {(C, l, connected): count}
+over the (2k)! ab pairings.  One representative row bp (the B-index
 paired with each A-index) stands for each class of labeled pairings under
 vertex relabeling and half-turns, which leave the key unchanged; vertex v
 carries A- and B-indices 2v, 2v+1, and vertices are numbered as they are
@@ -20,7 +20,7 @@ only on how its open ends are joined, so partial rows with the same open
 ends merge and the census never holds a row (a transfer-matrix enumeration,
 as for meanders, Jensen, J. Phys. A 33, 2000, and knots, Jacobsen and
 Zinn-Justin, J. Knot Theory Ramif. 11, 2002).  At k = 7 it holds at most
-781 states, against the 2,737,562 rows the walk yields.
+492 states, against the 2,737,562 rows the walk yields.
 
 Three graphs on the 4k index nodes carry the loops.  G1 is the pairing
 edges A x - B bp[x] plus B y - A y; G2 the pairing edges plus B y - A y^1;
@@ -36,22 +36,19 @@ open B-index to an open A-index, so the open B-index whose G1 path ends at
 A_i is B_i.  A state's key is
 
 * M2: M2[i] is the label of the A-index at the end of B_i's G2 path;
-* M3: the G3 matching of the 2n open ends, A_i numbered 2i and B_i 2i+1;
-* bv: bv[i] is B_i's vertex less vertex a >> 1, or -1 below it, where no
-  open A-index is left to make a tadpole with it.
+* M3: the G3 matching of the 2n open ends, A_i numbered 2i and B_i 2i+1.
 
 Untouched vertices stay implicit until a choice touches one and appends its
 four ends.  Pairing A_0 with B_j closes a G1 cycle iff j = 0 and a G2 cycle
 iff M2[j] = 0; otherwise the two paths join.  It closes a G3 cycle iff M3
-matches the two ends; otherwise their partners are matched.  It makes a
-tadpole iff bv[j] = 0.  A state's value maps (closed C, closed l,
-min(openings, 2), tadpole) to an exact weight: each opening after the first
-starts a new component, so one opening means connected.  States with equal
-keys merge by adding values.  After the last A-index one state is left, and
-its value is the census.  The weights of an order must total (2k)!, or the
-census raises ``InvariantViolation``.  The walk merges nothing: a partial
-row carries its key, its own (C, l, openings, tadpole) and weight, and the
-B-index each open slot holds, so that pairing A_0 with B_j writes bp[a].
+matches the two ends; otherwise their partners are matched.  A state's
+value maps (closed C, closed l, min(openings, 2)) to an exact weight: each
+opening after the first starts a new component, so one opening means
+connected.  States with equal keys merge by adding values.  After the last
+A-index one state is left, and its value is the census, whose weights must
+total (2k)! or it raises ``InvariantViolation``.  The walk merges nothing:
+a partial row carries its key, (C, l, openings), weight and the B-index
+each open slot holds, so that pairing A_0 with B_j writes bp[a].
 """
 from __future__ import annotations
 
@@ -60,9 +57,9 @@ import math
 from .errors import InvariantViolation, ResourceLimitError
 
 DEFAULT_KMAX = 7      # the census's order cap, and so --kmax's
-Census = dict[tuple[int, int, bool, bool], int]
-Key = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]   # M2, M3, bv
-Value = dict[tuple[int, int, int, bool], int]   # (C, l, openings, tad) -> weight
+Census = dict[tuple[int, int, bool], int]
+Key = tuple[tuple[int, ...], tuple[int, ...]]   # M2, M3
+Value = dict[tuple[int, int, int], int]         # (C, l, openings) -> weight
 
 
 def is_knot_shadow(k: int, C, l, connected):
@@ -70,12 +67,11 @@ def is_knot_shadow(k: int, C, l, connected):
     return connected & (l == 1) & (C == k + 2)
 
 
-def _touch(key: Key, rel: int) -> Key:
-    """Append a touched vertex's ends A_n, A_n+1, B_n, B_n+1; its vertex is
-    ``rel`` past vertex a >> 1."""
-    m2, m3, bv = key
+def _touch(key: Key) -> Key:
+    """Append a touched vertex's ends A_n, A_n+1, B_n, B_n+1."""
+    m2, m3 = key
     n, e = len(m2), 2 * len(m2)
-    return m2 + (n + 1, n), m3 + (e + 2, e + 3, e, e + 1), bv + (rel, rel)
+    return m2 + (n + 1, n), m3 + (e + 2, e + 3, e, e + 1)
 
 
 def _slide(slots, j: int):
@@ -83,10 +79,10 @@ def _slide(slots, j: int):
     return slots[1:j] + slots[:1] + slots[j + 1:] if j else slots[1:]
 
 
-def _join(key: Key, j: int, shift: int) -> tuple[int, bool, bool, Key]:
-    """Pair A_0 with B_j: (Latin loops closed, Greek loop closed, tadpole,
-    the key with both ends dropped and vertex a >> 1 moved by ``shift``)."""
-    m2, m3, bv = list(key[0]), list(key[1]), key[2]
+def _join(key: Key, j: int) -> tuple[int, bool, Key]:
+    """Pair A_0 with B_j: (Latin loops closed, Greek loop closed, the key
+    with both ends dropped)."""
+    m2, m3 = list(key[0]), list(key[1])
     p = m2.index(0)                   # B_p's G2 path ends at A_0
     latin = (j == 0) + (p == j)
     if p != j:
@@ -99,11 +95,7 @@ def _join(key: Key, j: int, shift: int) -> tuple[int, bool, bool, Key]:
     # and every other end moves down one slot: label e becomes e - 2
     m3 = [2 * j - 1 if e == 1 else e - 2 for e in m3]
     m3[2 * j + 1] = m3[1]
-    bv_out = _slide(bv, j)
-    if shift:
-        bv_out = tuple([e - 1 if e > 0 else -1 for e in bv_out])
-    return latin, greek, bv[j] == 0, (
-        tuple([e - 1 for e in _slide(m2, j)]), tuple(m3[2:]), bv_out)
+    return latin, greek, (tuple([e - 1 for e in _slide(m2, j)]), tuple(m3[2:]))
 
 
 def _moves(k: int, a: int, key: Key):
@@ -111,66 +103,66 @@ def _moves(k: int, a: int, key: Key):
     (B-indices 2t, 2t+1 of each vertex t it touches, slot j of the B-index
     it takes, weight, ``_join``'s result).  A vertex opens first when no
     touched A-index is left."""
-    shift = a & 1                        # vertex a >> 1 moves on after odd a
     t = (a + len(key[0])) >> 1           # touched vertices
     opened: tuple[int, ...] = ()
     if not key[0]:
-        key, opened, t = _touch(key, 0), (2 * t, 2 * t + 1), t + 1
+        key, opened, t = _touch(key), (2 * t, 2 * t + 1), t + 1
     n = len(key[0])
     for j in range(n):
-        yield opened, j, 1, _join(key, j, shift)
+        yield opened, j, 1, _join(key, j)
     if t < k:
         yield (opened + (2 * t, 2 * t + 1), n, 2 * (k - t),
-               _join(_touch(key, t - (a >> 1)), n, shift))
+               _join(_touch(key), n))
 
 
 def _frontier(k: int) -> Census:
     """The census of order k, unchecked."""
-    states: dict[Key, Value] = {((), (), ()): {(0, 0, 0, False): 1}}
+    states: dict[Key, Value] = {((), ()): {(0, 0, 0): 1}}
     for a in range(2 * k):
         merged: dict[Key, Value] = {}
         for key, value in states.items():
             opens = not key[0]
-            for _, _, mult, (latin, greek, tadpole, child) in _moves(k, a, key):
+            for _, _, mult, (latin, greek, child) in _moves(k, a, key):
                 into = merged.setdefault(child, {})
-                for (C, l, op, tad), w in value.items():
-                    out = (C + latin, l + greek, min(op + opens, 2),
-                           tad or tadpole)
+                for (C, l, op), w in value.items():
+                    out = (C + latin, l + greek, min(op + opens, 2))
                     into[out] = into.get(out, 0) + w * mult
         states = merged
     (value,) = states.values()
-    return {(C, l, op == 1, tad): w for (C, l, op, tad), w in value.items()}
+    return {(C, l, op == 1): w for (C, l, op), w in value.items()}
 
 
 def representatives(k: int, shadows: bool = False, tadpoles: bool = True):
-    """Yield (bp, weight, (C, l, connected, tadpole)), one row per class.
+    """Yield (bp, weight, (C, l, connected)), one row per class.
 
     A depth-first walk of ``_moves`` that merges nothing.  ``shadows`` stops
     at a second opening and at a Greek loop closed before the last A-index
     (whose pairing always closes one), so only connected single-loop rows
-    are left; ``tadpoles=False`` stops at a tadpole.
+    are left; ``tadpoles=False`` stops at a tadpole, a pairing of A-index a
+    with a B-index of its own vertex: bp[a] >> 1 == a >> 1.
     """
     last = 2 * k - 1
-    # a, key, B-index held by each open slot, bp, weight, C, l, openings, tad
-    stack = [(0, ((), (), ()), (), (), 1, 0, 0, 0, False)]
+    # a, key, B-index held by each open slot, bp, weight, C, l, openings
+    stack = [(0, ((), ()), (), (), 1, 0, 0, 0)]
     while stack:
-        a, key, held, bp, w, C, l, op, tad = stack.pop()
+        a, key, held, bp, w, C, l, op = stack.pop()
         if a > last:
-            yield bp, w, (C, l, op == 1, tad)
+            yield bp, w, (C, l, op == 1)
             continue
         op += not key[0]
         if shadows and op > 1:
             continue
-        for touched, j, mult, (latin, greek, tadpole, child) in _moves(k, a, key):
-            if (shadows and greek and a < last) or (tadpole and not tadpoles):
-                continue
+        for touched, j, mult, (latin, greek, child) in _moves(k, a, key):
             ends = held + touched
+            if ((shadows and greek and a < last)
+                    or (not tadpoles and ends[j] >> 1 == a >> 1)):
+                continue
             stack.append((a + 1, child, _slide(ends, j), bp + (ends[j],),
-                          w * mult, C + latin, l + greek, op, tad or tadpole))
+                          w * mult, C + latin, l + greek, op))
 
 
 def pairing_census(k: int) -> Census:
-    """Exact histogram {(C, l, connected, tadpole): count} over ab pairings."""
+    """Exact histogram {(C, l, connected): count} over ab pairings."""
     if not 1 <= k <= DEFAULT_KMAX:
         raise ResourceLimitError(f"k={k} outside enumeration range 1..{DEFAULT_KMAX}")
     total = _frontier(k)

@@ -24,7 +24,7 @@ import random
 import sys
 
 from .census import DEFAULT_KMAX, Census, representatives
-from .diagrams import Pairing, components_and_genus, is_tadpole
+from .diagrams import Pairing, components_and_genus
 from .errors import (InvariantViolation, ResourceLimitError, StructureError,
                      ValidationError)
 from .knots import KNOTS_KMAX, enumerate_knot_diagrams, knot_record
@@ -277,7 +277,7 @@ def _verify_euler(args: argparse.Namespace, failures: list[str]) -> None:
                 failures.append(f"k={k} match={p.match}: {exc}")
                 failure_records.append({"k": k, "match": p.pairs()})
                 continue
-            ref = (rep.C, rep.l, rep.components == 1, is_tadpole(p))
+            ref = (rep.C, rep.l, rep.components == 1)
             if ref != key:
                 failures.append(f"k={k} match={p.pairs()}: "
                                 f"reference {ref} != frontier {key}")

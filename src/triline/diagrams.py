@@ -209,11 +209,6 @@ def components_and_genus(p: Pairing) -> LoopReport:
                       genus_per_component=tuple(genus))
 
 
-def is_tadpole(p: Pairing) -> bool:
-    """True iff some propagator joins two legs of the same vertex."""
-    return any(x // 4 == y // 4 for x, y in enumerate(p.match))
-
-
 def brute_force_index_sum(p: Pairing, N: int, d: int,
                           strategy: str = "auto") -> complex:
     """Explicit index summation oracle; must equal i^{2k} N^C d^l.

@@ -142,7 +142,7 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
         return []
     counts: dict[GaussCode, int] = {}
     canonical: dict[tuple, GaussCode] = {}    # walked entries -> canonical code
-    for bp, weight, (C, _l, _conn, _tad) in representatives(
+    for bp, weight, (C, _l, _conn) in representatives(
             k, shadows=True, tadpoles=action != "wick_ordered"):
         if C != k + 2:                        # genus 0
             continue

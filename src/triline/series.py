@@ -15,9 +15,7 @@ The normalized partition series is
 with c = i/2 under the ``action`` convention (vertex coupling g/(2N) in
 the exponent exp(i S)) or c = i under the ``paper_series`` convention
 (vertex coupling g/N); the two differ by 2^k at order g^k.  As
-c^k i^{2k} = (-i)^k / 2^k or (-i)^k, Z_norm is real in h.  The
-``wick_ordered`` action (the normal-ordered vertex) drops the tadpole
-pairings, those joining two legs of one vertex, from every sum.  The formal
+c^k i^{2k} = (-i)^k / 2^k or (-i)^k, Z_norm is real in h.  The formal
 logarithm must equal the same sum restricted to connected pairings
 (linked-cluster identity); its coefficients sit on the lattice
 N-power = 2 - 2p, d-power = l >= 1, giving the table F_{l,p}(g).  The
@@ -25,6 +23,13 @@ constant part of the full log-series, d*N*log2 + d*N^2*logpi, is the free
 partition function; F(g) = logpi + F_{1,0}(g) generates connected planar
 single-Greek-loop diagrams, the alternating knot diagrams.  In h it is a
 weighted count: F = ln(pi) + h + 2h^2 + 7h^3 + 65/2 h^4 + 898/5 h^5 + ...
+
+The ``wick_ordered`` action adds c1 sum_mu Tr(A_mu B_mu) + c2 to each
+vertex, c1 = -4iN and c2 = -2dN^3 (derived in ``gaussian.wick_order_quartic``,
+checked by ``verify wick``, ``test_wick_order_constants`` and ``mixed``).
+c1 turns exp(i Tr AB) into exp(i(1 + xh) Tr AB), x = 2 (action) or 4
+(paper_series), so the same census gives the tadpole-free sums:
+ln Z_wo(h) = dN^2 (xh/2 - ln(1 + xh)) + ln Z_std(h / (1 + xh)^2).
 """
 from __future__ import annotations
 
@@ -142,33 +147,39 @@ def _table_kmax(table: CensusTable) -> int:
     return kmax
 
 
-def _census_terms(k: int, census: Census, convention: str, connected_only: bool,
-                  drop_tadpoles: bool) -> dict[Key, Fraction]:
-    pref = _vertex_prefactor(k, convention)
-    out: dict[Key, Fraction] = {}
-    for (C, l, conn, tad), count in census.items():
-        if connected_only and not conn:
-            continue
-        if drop_tadpoles and tad:
-            continue
-        key = (k, C - k, l)
-        out[key] = out.get(key, 0) + pref * count
-    return out
-
-
 def _assemble(table: CensusTable, convention: str, action: str,
               connected_only: bool) -> TriSeries:
     if action not in SERIES_ACTIONS:
         raise ValidationError(f"unknown action {action!r}")
     kmax = _table_kmax(table)
-    out = TriSeries.one(kmax)
+    out = TriSeries(kmax) if connected_only else TriSeries.one(kmax)
     for k in range(1, kmax + 1):
-        terms = _census_terms(k, table[k], convention, connected_only,
-                              drop_tadpoles=(action == "wick_ordered"))
-        for key, coeff in terms.items():
-            out._accumulate(key, coeff)
-    if connected_only:
-        out._accumulate((0, 0, 0), Fraction(-1))
+        pref = _vertex_prefactor(k, convention)
+        for (C, l, conn), count in table[k].items():
+            if conn or not connected_only:
+                out._accumulate((k, C - k, l), pref * count)
+    if action == "wick_ordered":
+        out = _wick_order(out, 4 * _vertex_prefactor(1, convention),
+                          connected_only)
+    return out
+
+
+def _wick_order(s: TriSeries, x: Fraction, log: bool) -> TriSeries:
+    """``s`` at h / (1 + xh)^2, plus L (``log``) or times exp(L), where
+    L = dN^2 (xh/2 - ln(1 + xh)) holds c2 and the Gaussian normalization."""
+    out = TriSeries(s.kmax)
+    for (k, a, b), c in s.terms.items():
+        for j in range(s.kmax - k + 1):     # C(-2k, j) (xh)^j
+            binom = math.comb(2 * k + j - 1, j) if j else 1
+            out._accumulate((k + j, a, b), c * binom * (-x) ** j)
+    L = TriSeries(s.kmax, {(m, 2, 1): (-x) ** m / m + (x / 2 if m == 1 else 0)
+                           for m in range(1, s.kmax + 1)})
+    if log:
+        return out + L
+    term = out
+    for m in range(1, s.kmax + 1):          # out exp(L) = sum out L^m / m!
+        term = (term * L).scale(Fraction(1, m))
+        out = out + term
     return out
 
 
@@ -176,7 +187,7 @@ def assemble_Z(table: CensusTable, convention: str = "action",
                action: str = "standard") -> TriSeries:
     """Normalized partition series Z(N, d, g) / Z(N, d, 0) up to g^max(table).
 
-    ``wick_ordered`` sums the same census without its tadpole pairings.
+    ``wick_ordered`` is the same census under the counterterm substitution.
     """
     return _assemble(table, convention, action, connected_only=False)
 
@@ -298,7 +309,7 @@ def planar_loop_counts(table: CensusTable) -> dict[int, int]:
 
     These are the knot shadows behind F_{1,0} (``census.is_knot_shadow``).
     """
-    return {k: sum(count for (C, l, conn, _tad), count in table[k].items()
+    return {k: sum(count for (C, l, conn), count in table[k].items()
                    if is_knot_shadow(k, C, l, conn))
             for k in range(1, _table_kmax(table) + 1)}
 

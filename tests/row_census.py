@@ -4,7 +4,10 @@ It generates the symmetry-reduced ab rows in numpy, traces every row with
 the batched tracer and histograms (C, l, connected, tadpole) by weight.  It
 shares no code with ``triline.census``, whose frontier merges the same
 moves and whose ``representatives`` walks them; it takes about 3.5 s at
-k = 7 on one core.
+k = 7 on one core.  The frontier keeps no tadpole flag:
+``tadpole_marginal`` sums it out, and the rows without a tadpole check the
+``wick_ordered`` series, which ``triline.series`` derives from the
+standard census alone.
 
 One representative row per class of labeled pairings, with an exact
 integer weight (isomorph-free generation; McKay, J. Algorithms 1998).
@@ -145,3 +148,12 @@ def row_census(k: int) -> dict:
         for key, cnt in census_rows(*batch).items():
             total[key] = total.get(key, 0) + cnt
     return total
+
+
+def tadpole_marginal(census: dict) -> dict:
+    """{(C, l, connected): count}, the frontier census's key, summed over
+    the tadpole flag of a (C, l, connected, tadpole) census."""
+    out = {}
+    for (C, l, conn, _tad), cnt in census.items():
+        out[(C, l, conn)] = out.get((C, l, conn), 0) + cnt
+    return out

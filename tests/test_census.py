@@ -1,4 +1,5 @@
 """Frontier census and row walk against independent references."""
+import functools
 import math
 from collections import Counter
 
@@ -7,13 +8,21 @@ import pytest
 
 from triline import census
 from triline.census import is_knot_shadow, pairing_census
-from triline.diagrams import Pairing, components_and_genus, is_tadpole
+from triline.diagrams import Pairing, components_and_genus
 from triline.errors import InvariantViolation, ResourceLimitError
+from triline.series import (CONVENTIONS, assemble_Z, census_table,
+                            connected_assemble)
 from row_census import _row_cycle_counts, census_rows, representatives, \
-    row_census, trace_rows
+    row_census, tadpole_marginal, trace_rows
 import row_census as rows
-from unreduced import count_matchings, enumerate_matchings, \
+from unreduced import count_matchings, enumerate_matchings, is_tadpole, \
     iter_matchings_batched
+
+
+@functools.lru_cache(maxsize=None)
+def cached_row_census(k):
+    """``row_census(k)``, folded once per order for the tests below."""
+    return row_census(k)
 
 
 def reference_census(k):
@@ -26,7 +35,8 @@ def reference_census(k):
 
 def reference_rows(k):
     """(bp, weight, (C, l, connected, tadpole)) per row of the numpy
-    generator, keyed by its batched tracer."""
+    generator, keyed by its batched tracer; the walk's keys are the first
+    three fields."""
     for bp, w, connected in representatives(k):
         C, l, tad = trace_rows(bp)
         yield from zip(map(tuple, bp.tolist()), w.tolist(),
@@ -80,14 +90,29 @@ def cycle_count(perm):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_census_equals_reference(k):
-    assert pairing_census(k) == reference_census(k)
+    assert pairing_census(k) == tadpole_marginal(reference_census(k))
 
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_frontier_equals_row_census(k):
     # the row census traces every representative row; it shares no code
     # with the frontier's transfer over open ends
-    assert pairing_census(k) == row_census(k)
+    assert pairing_census(k) == tadpole_marginal(cached_row_census(k))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_wick_ordered_equals_tadpole_free_rows(k):
+    # the wick_ordered series comes from the standard census by the
+    # counterterm substitution; here the standard assembly sums the traced
+    # rows without a tadpole instead, sharing no code with the substitution
+    free = {j: tadpole_marginal({key: n for key, n in
+                                 cached_row_census(j).items() if not key[3]})
+            for j in range(1, k + 1)}
+    table = census_table(k)
+    for convention in CONVENTIONS:
+        for assemble in (assemble_Z, connected_assemble):
+            assert assemble(table, convention, "wick_ordered") == \
+                assemble(free, convention, "standard")
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -97,7 +122,7 @@ def test_census_d_marginal_closed_form(k):
     got = pairing_census(k)
     for d in range(1, 6):
         want = 2 ** k * math.factorial(k) * math.prod(d + 2 * j for j in range(k))
-        assert sum(n * d ** l for (_C, l, _conn, _tad), n in got.items()) == want
+        assert sum(n * d ** l for (_C, l, _conn), n in got.items()) == want
 
 
 def test_census_equals_unreduced_fold_k5():
@@ -109,7 +134,7 @@ def test_census_equals_unreduced_fold_k5():
         conn = _row_connected(bp // 2, 5)
         for key, n in census_rows(bp, ones, conn).items():
             unreduced[key] = unreduced.get(key, 0) + n
-    assert pairing_census(5) == unreduced
+    assert pairing_census(5) == tadpole_marginal(unreduced)
 
 
 def test_census_total_is_factorial():
@@ -142,7 +167,7 @@ def test_results_independent_of_row_chunk(monkeypatch):
     default = {k: stream(k) for k in range(1, 6)}
     monkeypatch.setattr(rows, "_ROW_CHUNK", 7)
     for k in range(1, 7):
-        assert row_census(k) == pairing_census(k)
+        assert tadpole_marginal(row_census(k)) == pairing_census(k)
     for k in range(1, 6):
         for got, want in zip(stream(k), default[k]):
             np.testing.assert_array_equal(got, want)
@@ -163,7 +188,8 @@ def test_representatives_count_and_weight():
 def test_walk_rows_equal_reference_rows(k):
     # row, weight and key of every row: the walk's keys come from the
     # frontier's moves, the reference's from the batched tracer
-    assert Counter(census.representatives(k)) == Counter(reference_rows(k))
+    assert Counter(census.representatives(k)) == Counter(
+        (bp, w, key[:3]) for bp, w, key in reference_rows(k))
 
 
 @pytest.mark.parametrize("k, want", zip(range(1, 7),
@@ -173,14 +199,18 @@ def test_walk_shadows_equal_reference_shadows(k, want):
     # single-loop rows (and no tadpole for wick_ordered) survive the walk
     ref = Counter(row for row in reference_rows(k)
                   if is_knot_shadow(k, *row[2][:3]))
+
+    def walk_keys(rows):
+        return Counter((bp, w, key[:3]) for bp, w, key in rows)
+
     planar = [row for row in census.representatives(k, shadows=True)
               if row[2][0] == k + 2]
-    assert Counter(planar) == ref
+    assert Counter(planar) == walk_keys(ref.elements())
     no_tad = [row for row in census.representatives(k, shadows=True,
                                                     tadpoles=False)
               if row[2][0] == k + 2]
-    assert Counter(no_tad) == Counter(
-        {row: n for row, n in ref.items() if not row[2][3]})
+    assert Counter(no_tad) == walk_keys(
+        row for row in ref.elements() if not row[2][3])
     # a shadow is connected: its fresh moves weigh 2(k - t), t = 1..k-1
     assert len(planar) == want
     assert {w for _bp, w, _key in planar} == {
@@ -256,7 +286,7 @@ def test_planar_count_equals_tutte(k, want):
     tutte = (2 ** (k - 1) * math.factorial(k - 1) * 2 * 3 ** k
              * math.factorial(2 * k)
              // (math.factorial(k) * math.factorial(k + 2)))
-    planar = sum(n for (C, _l, conn, _tad), n in pairing_census(k).items()
+    planar = sum(n for (C, _l, conn), n in pairing_census(k).items()
                  if conn and C == k + 2)
     assert planar == tutte == want
 

@@ -15,7 +15,7 @@ import pytest
 import triline
 from triline import cli, gaussian, oracle
 from triline.cli import COMMANDS, SUITES, main, make_parser
-from triline.diagrams import Pairing, is_tadpole
+from triline.diagrams import Pairing
 from triline.errors import InvariantViolation, ValidationError
 from triline.knots import enumerate_knot_diagrams
 from triline.series import SERIES_ACTIONS
@@ -128,7 +128,7 @@ def test_verify_euler_names_the_row_that_broke(monkeypatch, capsys):
     assert run(["verify", "euler", "--kmax", "3"]) == 1
     p = Pairing.from_pairs(2, broken)
     rep = real(p)
-    frontier = (rep.C, rep.l, rep.components == 1, is_tadpole(p))
+    frontier = (rep.C, rep.l, rep.components == 1)
     reference = (rep.C + 1,) + frontier[1:]
     fails = [line for line in capsys.readouterr().err.splitlines()
              if line.startswith("FAIL")]

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triline.diagrams import (LoopReport, Pairing, brute_force_index_sum,
-                              components_and_genus, is_tadpole,
-                              trace_greek_loops)
+                              components_and_genus, trace_greek_loops)
 from triline.errors import ResourceLimitError, ValidationError
-from unreduced import KMAX, enumerate_matchings, leg_family
+from unreduced import KMAX, enumerate_matchings, is_tadpole, leg_family
 
 # census of (C, l, connected) triples over ab pairings, frozen from an
 # independent implementation

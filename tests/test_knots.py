@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from triline import diagrams
 from triline.census import pairing_census
-from triline.diagrams import Pairing, components_and_genus, is_tadpole, \
-    trace_greek_loops
+from triline.diagrams import Pairing, components_and_genus, trace_greek_loops
 from triline.errors import ResourceLimitError, StructureError, ValidationError
 from triline.knots import (GaussCode, KNOTS_KMAX, TREFOIL, canonical_code,
                            enumerate_knot_diagrams, knot_record, reduce_R1)
 from triline.series import (census_table, coeff_json, connected_assemble,
                             extract_Flp)
-from unreduced import alternating_check, enumerate_matchings, to_gauss_code
+from unreduced import alternating_check, enumerate_matchings, is_tadpole, \
+    to_gauss_code
 
 # canonical code multisets per order, frozen from an independent walk
 FROZEN_CODES = {
@@ -119,7 +119,7 @@ def test_export_never_calls_reference_tracer(monkeypatch):
 
     # knots never loads diagrams (tests/test_package.py), so patch the tracer
     # where it lives
-    for name in ("Pairing", "components_and_genus", "is_tadpole"):
+    for name in ("Pairing", "components_and_genus"):
         monkeypatch.setattr(diagrams, name, refuse)
     for (k, action), codes in want.items():
         assert multiplicities(k, action) == codes
@@ -135,7 +135,7 @@ def test_coefficients_sum_to_f10():
 def test_knots_cap_at_its_bound():
     # k = 5 is the last order exported: one line per labeled knot shadow,
     # as many as the census's connected single-loop planar pairings
-    shadows = sum(n for (C, l, conn, _tad), n in pairing_census(5).items()
+    shadows = sum(n for (C, l, conn), n in pairing_census(5).items()
                   if conn and l == 1 and C == 5 + 2)
     lines = sum(m for _, m, _ in enumerate_knot_diagrams(KNOTS_KMAX))
     assert KNOTS_KMAX == 5 and lines == shadows == 689_664

@@ -6,7 +6,8 @@ pairing of order k <= 5.  ``enumerate_matchings`` streams the (2k)! ab
 pairings one by one as ``Pairing``s; ``iter_matchings_batched`` yields them
 in numpy batches as the census's rows ``bp`` (the B-index paired with each
 A-index).  ``to_gauss_code`` walks the legs of one pairing checked by the
-reference tracer.
+reference tracer, and ``is_tadpole`` finds a propagator that joins two legs
+of one vertex.
 """
 import functools
 import itertools
@@ -77,6 +78,11 @@ def iter_matchings_batched(k: int):
 def count_matchings(k: int) -> int:
     """Total ab pairings at order k, counted from the batched emission."""
     return sum(batch.shape[0] for batch in iter_matchings_batched(k))
+
+
+def is_tadpole(p: Pairing) -> bool:
+    """True iff some propagator joins two legs of the same vertex."""
+    return any(x // 4 == y // 4 for x, y in enumerate(p.match))
 
 
 def to_gauss_code(p: Pairing) -> GaussCode:
