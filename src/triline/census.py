@@ -20,7 +20,10 @@ only on how its open ends are joined, so partial rows with the same open
 ends merge and the census never holds a row (a transfer-matrix enumeration,
 as for meanders, Jensen, J. Phys. A 33, 2000, and knots, Jacobsen and
 Zinn-Justin, J. Knot Theory Ramif. 11, 2002).  At k = 7 it holds at most
-492 states, against the 2,737,562 rows the walk yields.
+492 states, against the 2,737,562 rows the walk yields.  Neither the
+census nor the walk knows tadpoles: the Wick-ordered series is the standard
+census under a substitution (``series``), and the Wick-ordered knot export
+keeps the kink-free codes (``knots``).
 
 Three graphs on the 4k index nodes carry the loops.  G1 is the pairing
 edges A x - B bp[x] plus B y - A y; G2 the pairing edges plus B y - A y^1;
@@ -132,14 +135,13 @@ def _frontier(k: int) -> Census:
     return {(C, l, op == 1): w for (C, l, op), w in value.items()}
 
 
-def representatives(k: int, shadows: bool = False, tadpoles: bool = True):
+def representatives(k: int, shadows: bool = False):
     """Yield (bp, weight, (C, l, connected)), one row per class.
 
     A depth-first walk of ``_moves`` that merges nothing.  ``shadows`` stops
     at a second opening and at a Greek loop closed before the last A-index
     (whose pairing always closes one), so only connected single-loop rows
-    are left; ``tadpoles=False`` stops at a tadpole, a pairing of A-index a
-    with a B-index of its own vertex: bp[a] >> 1 == a >> 1.
+    are left.
     """
     last = 2 * k - 1
     # a, key, B-index held by each open slot, bp, weight, C, l, openings
@@ -154,8 +156,7 @@ def representatives(k: int, shadows: bool = False, tadpoles: bool = True):
             continue
         for touched, j, mult, (latin, greek, child) in _moves(k, a, key):
             ends = held + touched
-            if ((shadows and greek and a < last)
-                    or (not tadpoles and ends[j] >> 1 == a >> 1)):
+            if shadows and greek and a < last:
                 continue
             stack.append((a + 1, child, _slide(ends, j), bp + (ends[j],),
                           w * mult, C + latin, l + greek, op))

@@ -29,9 +29,9 @@ from .errors import (InvariantViolation, ResourceLimitError, StructureError,
                      ValidationError)
 from .knots import KNOTS_KMAX, enumerate_knot_diagrams, knot_record
 from .series import (CONVENTIONS, SERIES_ACTIONS, F_of_g, assemble_Z,
-                     census_table, connected_assemble, double_limit_check,
-                     extract_Flp, f_to_json, flp_to_json, formal_log,
-                     planar_loop_counts, series_to_json)
+                     census_table, connected_assemble, extract_Flp, f_to_json,
+                     flp_to_json, formal_log, planar_loop_counts,
+                     series_to_json)
 
 _RECORD_COPIES = 512    # knot record copies per chunk; k = 5 has 61,440 of one
 
@@ -130,12 +130,11 @@ def _expand_payload(args: argparse.Namespace) -> dict:
     z = assemble_Z(censuses, args.convention, args.action)
     lnz = formal_log(z)
     table = extract_Flp(lnz)
-    f = F_of_g(table)
     payload = {
         "z_series": series_to_json(z, args.convention),
         "lnz_series": series_to_json(lnz, args.convention),
-        "flp_table": flp_to_json(table),
-        "f_of_g": f_to_json(f),
+        "flp_table": flp_to_json(table, lnz.kmax),
+        "f_of_g": f_to_json(F_of_g(table), lnz.kmax),
         "action": args.action,
     }
     if args.action == "standard":
@@ -234,9 +233,11 @@ def _verify_wick(args: argparse.Namespace, failures: list[str]) -> None:
                  for _ in range(count)] for deg, count in ((4, 8), (6, 4)))
             pairs = [(x, EntrySymbol("B", x.mu, x.l, x.k))
                      for x in pool[:len(pool) // 2]]     # the A entries
+            quartic = quartic_monomials(N, d)
             batches = [entry_positions(b, N, d)
-                       for b in (fours, sixes, quartic_monomials(N, d), pairs)]
-            c1, c2 = wick_order_quartic(N, d)
+                       for b in (fours, sixes, quartic, pairs)]
+            c1, c2 = wick_order_quartic(N, d, quartic)
+            del quartic     # d^2 N^4 tuples; the oracle reads the positions
 
             def moments_and_ordered_mean(eps):
                 orc = OracleCovariance(N, d, eps)
@@ -299,10 +300,10 @@ def _verify_logcheck(args: argparse.Namespace, failures: list[str]) -> None:
         if lnz != conn:
             failures.append(f"linked-cluster mismatch [{convention}]")
             continue
-        try:
-            double_limit_check(conn)
+        try:        # on the lattice, (1/dN^2) ln Z -> F_{1,0} as N -> oo, d -> 0
+            extract_Flp(conn)
         except StructureError as exc:
-            failures.append(f"double limit [{convention}]: {exc}")
+            failures.append(f"genus/link lattice [{convention}]: {exc}")
 
 
 def _verify_bound(args: argparse.Namespace, failures: list[str]) -> None:

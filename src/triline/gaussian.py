@@ -22,7 +22,6 @@ moments here are normalized by the partition value; multiply by
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -230,12 +229,11 @@ def wick_moment(entries) -> complex:
     return total
 
 
-@functools.lru_cache(maxsize=1)
 def quartic_monomials(N: int, d: int) -> tuple[tuple[EntrySymbol, ...], ...]:
     """Entry factors of sum_{mu nu} Tr(A_mu B_nu A_mu B_nu), one tuple each.
 
-    Only the last (N, d) is kept: ``wick_order_quartic`` and the oracle check
-    of the ordered vertex read the same d^2 N^4 monomials back to back.
+    ``wick_order_quartic`` and the oracle check of the ordered vertex read
+    the same d^2 N^4 monomials: a caller builds them once and passes them.
     """
     r = range(1, N + 1)
     return tuple((A(mu, j, l), B(nu, l, m), A(mu, m, n), B(nu, n, j))
@@ -246,10 +244,11 @@ def quartic_monomials(N: int, d: int) -> tuple[tuple[EntrySymbol, ...], ...]:
 _SINGLE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def wick_order_quartic(N: int, d: int) -> tuple[complex, complex]:
+def wick_order_quartic(N: int, d: int, monomials) -> tuple[complex, complex]:
     """Counterterm coefficients of the Wick-ordered quartic vertex.
 
-    Returns (c1, c2) such that
+    Returns (c1, c2) such that, with Q summed over ``monomials``
+    (``quartic_monomials(N, d)``),
 
         :Q: = Q + c1 * sum_mu Tr(A_mu B_mu) + c2,
         Q = sum_{mu nu} Tr(A_mu B_nu A_mu B_nu),
@@ -263,7 +262,7 @@ def wick_order_quartic(N: int, d: int) -> tuple[complex, complex]:
         raise ValidationError("N and d must be >= 1")
     quad: dict[tuple[EntrySymbol, EntrySymbol], complex] = defaultdict(complex)
     const = 0.0 + 0.0j
-    for mono in quartic_monomials(N, d):
+    for mono in monomials:
         const += wick_moment(mono)
         for a, b in _SINGLE_PAIRS:
             v = propagator(mono[a], mono[b])

@@ -19,7 +19,8 @@ single-loop rows, and the export keeps those of genus 0 and walks their
 strands.  The reference the export is tested against, a walk over the legs
 of every labeled pairing checked by the tracer in ``diagrams``, lives with
 the tests (``tests/unreduced.py``).  A code's multiplicity sums its class
-weights; ``knots`` writes it that often.
+weights; ``knots`` writes it that often.  Both actions walk the same rows:
+``wick_ordered`` keeps the kink-free codes, those with ``reduce_R1(c) == c``.
 """
 from __future__ import annotations
 
@@ -131,8 +132,11 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
 
     Each connected planar single-Greek-loop pairing contributes the order-k
     vertex prefactor; multiplicity times coefficient, summed over the list,
-    is the h^k term of F_{1,0} (h = -ig).  ``wick_ordered`` drops tadpole
-    pairings.  Returns a list of (GaussCode, multiplicity, Fraction).
+    is the h^k term of F_{1,0} (h = -ig).  ``wick_ordered`` keeps the
+    codes without a kink: each strand-walk step writes the two ends of a
+    propagator as adjacent entries, so a tadpole, a propagator within one
+    vertex, is a kink, and rotation and relabeling keep kinks.  Returns a
+    list of (GaussCode, multiplicity, Fraction).
     """
     if action not in SERIES_ACTIONS:
         raise ValidationError(f"unknown action {action!r}")
@@ -142,8 +146,7 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
         return []
     counts: dict[GaussCode, int] = {}
     canonical: dict[tuple, GaussCode] = {}    # walked entries -> canonical code
-    for bp, weight, (C, _l, _conn) in representatives(
-            k, shadows=True, tadpoles=action != "wick_ordered"):
+    for bp, weight, (C, _l, _conn) in representatives(k, shadows=True):
         if C != k + 2:                        # genus 0
             continue
         walked = _strand_walk(bp)
@@ -151,6 +154,8 @@ def enumerate_knot_diagrams(k: int, convention: str = "action",
         if code is None:
             code = canonical[walked] = canonical_code(GaussCode(walked))
         counts[code] = counts.get(code, 0) + weight
+    if action == "wick_ordered":
+        counts = {c: m for c, m in counts.items() if reduce_R1(c) == c}
     pref = _vertex_prefactor(k, convention)
     return [(code, mult, pref) for code, mult in counts.items()]
 

@@ -18,11 +18,18 @@ the exponent exp(i S)) or c = i under the ``paper_series`` convention
 c^k i^{2k} = (-i)^k / 2^k or (-i)^k, Z_norm is real in h.  The formal
 logarithm must equal the same sum restricted to connected pairings
 (linked-cluster identity); its coefficients sit on the lattice
-N-power = 2 - 2p, d-power = l >= 1, giving the table F_{l,p}(g).  The
-constant part of the full log-series, d*N*log2 + d*N^2*logpi, is the free
-partition function; F(g) = logpi + F_{1,0}(g) generates connected planar
-single-Greek-loop diagrams, the alternating knot diagrams.  In h it is a
-weighted count: F = ln(pi) + h + 2h^2 + 7h^3 + 65/2 h^4 + 898/5 h^5 + ...
+N-power = 2 - 2p, d-power = l >= 1, and the table F_{l,p}(g) is ln Z read
+on that lattice (``extract_Flp``).  The constant part of the full
+log-series, d*N*log2 + d*N^2*logpi, is the free partition function
+(``gaussian.free_partition``), not part of the series.  On the lattice
+(1/dN^2) ln Z = sum F_{l,p} N^-2p d^(l-1), so the paper's limit, N -> oo
+and then d -> 0, keeps the N^2 d^1 entry: F(g) = logpi + F_{1,0}(g).  It
+generates connected planar single-Greek-loop diagrams, the alternating
+knot diagrams: ``test_coefficients_sum_to_f10`` compares F_{1,0} with the
+exported knot shadows, and the benchmark's check (``perfbench/checks.py``)
+with ``planar_loop_counts``, next to Tutte's count for the genus-0 sum.
+In h it is a weighted count:
+F = ln(pi) + h + 2h^2 + 7h^3 + 65/2 h^4 + 898/5 h^5 + ...
 
 The ``wick_ordered`` action adds c1 sum_mu Tr(A_mu B_mu) + c2 to each
 vertex, c1 = -4iN and c2 = -2dN^3 (derived in ``gaussian.wick_order_quartic``,
@@ -34,7 +41,6 @@ ln Z_wo(h) = dN^2 (xh/2 - ln(1 + xh)) + ln Z_std(h / (1 + xh)^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .census import Census, is_knot_shadow, pairing_census
@@ -45,6 +51,7 @@ SERIES_ACTIONS = ("standard", "wick_ordered")
 
 Key = tuple[int, int, int]
 CensusTable = dict[int, Census]   # order k -> pairing_census(k)
+Flp = dict[tuple[int, int], dict[int, Fraction]]   # (l, p) -> {k: h^k coeff}
 
 
 class TriSeries:
@@ -212,96 +219,39 @@ def formal_log(s: TriSeries) -> TriSeries:
     return out
 
 
-@dataclass
-class FlpTable:
-    """Genus/link table: (l >= 1, p >= 0) -> polynomial in h = -ig."""
+def extract_Flp(lnz: TriSeries) -> Flp:
+    """ln Z on its lattice: the h^k N^(2-2p) d^l coefficient is entry (l, p)'s.
 
-    kmax: int
-    table: dict[tuple[int, int], dict[int, Fraction]] = field(default_factory=dict)
-
-    def add(self, l: int, p: int, k: int, coeff: Fraction) -> None:
-        poly = self.table.setdefault((l, p), {})
-        new = poly.get(k, 0) + coeff
-        if new:
-            poly[k] = new
-        else:
-            poly.pop(k, None)
-
-    def poly(self, l: int, p: int) -> dict[int, Fraction]:
-        return dict(self.table.get((l, p), {}))
-
-
-def extract_Flp(lnz_norm: TriSeries) -> FlpTable:
-    """Solve each coefficient position against N-power 2-2p, d-power l.
-
-    Any coefficient off that lattice means the assembly upstream is broken
-    and raises a structural error.
+    (k, a, b) -> (l = b, p = (2 - a) / 2, k) is one-to-one, so each term
+    fills one entry.  A term off the lattice (d-power < 1, or an N-power
+    above 2 or odd) means the assembly upstream is broken and raises a
+    structural error.
     """
-    out = FlpTable(kmax=lnz_norm.kmax)
-    for (k, a, b), coeff in lnz_norm.terms.items():
+    out: Flp = {}
+    for (k, a, b), coeff in lnz.terms.items():
         if b < 1:
             raise StructureError(f"term g^{k} N^{a} d^{b} has d-power < 1")
-        if a > 2 or (2 - a) % 2 != 0:
+        if a > 2 or a % 2:
             raise StructureError(f"term g^{k} N^{a} d^{b} off the genus lattice")
-        out.add(b, (2 - a) // 2, k, coeff)
+        out.setdefault((b, (2 - a) // 2), {})[k] = coeff
     return out
 
 
-@dataclass
-class FSeries:
-    """F(g) = ln(pi) + F_{1,0}(g): symbolic constant plus exact polynomial in h."""
-
-    kmax: int
-    coeffs: dict[int, Fraction]
-
-    def render(self) -> str:
-        """F in g, each coefficient (-i)^k r as a signed rational or imaginary."""
-        parts = ["ln(pi)"]
-        for k in sorted(self.coeffs):
-            if not self.coeffs[k]:
-                continue
-            re, im = re_im(k, self.coeffs[k])
-            mag = str(abs(re)) if re else ("" if abs(im) == 1 else str(abs(im)))
-            mono = "g" if k == 1 else f"g^{k}"
-            parts.append(f"{'-' if (re or im) < 0 else '+'} {mag}"
-                         f"{'' if re else 'i'}*{mono}")
-        return " ".join(parts)
+def F_of_g(table: Flp) -> dict[int, Fraction]:
+    """F_{1,0}: the h^k coefficients of F(g) = ln(pi) + F_{1,0}(g)."""
+    return dict(table.get((1, 0), {}))
 
 
-def F_of_g(t: FlpTable) -> FSeries:
-    """The alternating-knot-diagram generating function ln(pi) + F_{1,0}."""
-    return FSeries(kmax=t.kmax, coeffs=t.poly(1, 0))
-
-
-def double_limit_check(series: TriSeries) -> bool:
-    """Term-by-term (1/dN^2) ln Z under N -> infinity then d -> 0.
-
-    ``series`` is the connected (normalized log) series.  Divides it
-    symbolically by d N^2, errors on any surviving positive N-power, drops
-    negative ones, keeps d-power 0, and requires the result to equal
-    F_{1,0} of the extracted table.  True on success.
-
-    The g^0 constant of ln Z, d N log 2 + d N^2 log pi, is the free
-    partition function (``gaussian.free_partition``), not part of the
-    series: its limit is the fixed ln(pi) that ``F_of_g`` carries, so it
-    needs no check.
-    """
-    limit_coeffs: dict[int, Fraction] = {}
-    for (k, a, b), coeff in series.terms.items():
-        if b < 1:
-            raise StructureError(f"term g^{k} N^{a} d^{b} has d-power < 1")
-        a2, b2 = a - 2, b - 1
-        if a2 > 0:
-            raise StructureError(
-                f"term g^{k} N^{a} d^{b} survives the large-N limit unboundedly")
-        if a2 == 0 and b2 == 0:
-            limit_coeffs[k] = limit_coeffs.get(k, 0) + coeff
-    f = F_of_g(extract_Flp(series))
-    limit_coeffs = {k: c for k, c in limit_coeffs.items() if c}
-    target = {k: c for k, c in f.coeffs.items() if c}
-    if limit_coeffs != target:
-        raise StructureError("double limit disagrees with F_{1,0}")
-    return True
+def render_F(f: dict[int, Fraction]) -> str:
+    """F in g, each coefficient (-i)^k r as a signed rational or imaginary."""
+    parts = ["ln(pi)"]
+    for k in sorted(f):
+        re, im = re_im(k, f[k])
+        mag = str(abs(re)) if re else ("" if abs(im) == 1 else str(abs(im)))
+        mono = "g" if k == 1 else f"g^{k}"
+        parts.append(f"{'-' if (re or im) < 0 else '+'} {mag}"
+                     f"{'' if re else 'i'}*{mono}")
+    return " ".join(parts)
 
 
 def planar_loop_counts(table: CensusTable) -> dict[int, int]:
@@ -336,24 +286,23 @@ def series_to_json(s: TriSeries, convention: str) -> dict:
     return {"convention": convention, "kmax": s.kmax, "terms": terms}
 
 
-def flp_to_json(t: FlpTable) -> dict:
+def flp_to_json(table: Flp, kmax: int) -> dict:
     entries = []
-    for (l, p) in sorted(t.table):
-        poly = t.table[(l, p)]
+    for (l, p) in sorted(table):
+        poly = table[(l, p)]
         entries.append({
             "l": l, "p": p,
             "terms": [dict(k=k, **coeff_json(k, poly[k]))
                       for k in sorted(poly)],
         })
-    return {"kmax": t.kmax, "entries": entries}
+    return {"kmax": kmax, "entries": entries}
 
 
-def f_to_json(f: FSeries) -> dict:
+def f_to_json(f: dict[int, Fraction], kmax: int) -> dict:
     return {
-        "kmax": f.kmax,
+        "kmax": kmax,
         "logpi_num": 1,
         "logpi_den": 1,
-        "terms": [dict(k=k, **coeff_json(k, f.coeffs[k]))
-                  for k in sorted(f.coeffs) if f.coeffs[k]],
-        "rendered": f.render(),
+        "terms": [dict(k=k, **coeff_json(k, f[k])) for k in sorted(f)],
+        "rendered": render_F(f),
     }

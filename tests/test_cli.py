@@ -115,6 +115,44 @@ def test_verify_euler_fails_on_census_mismatch(monkeypatch, capsys):
     assert fails == ["FAIL k=2: weighted reference fold != census"]
 
 
+def logcheck_fails(monkeypatch, capsys, perturb) -> list[str]:
+    """The FAIL lines of ``verify logcheck --kmax 3`` on a perturbed census."""
+    real = cli.census_table
+
+    def perturbed(kmax):
+        table = real(kmax)
+        perturb(table)
+        return table
+
+    monkeypatch.setattr(cli, "census_table", perturbed)
+    assert run(["verify", "logcheck", "--kmax", "3"]) == 1
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("FAIL")]
+
+
+@pytest.mark.parametrize("n_pow", [3, 1])
+def test_verify_logcheck_fails_off_the_lattice(monkeypatch, capsys, n_pow):
+    # a connected weight at the top order keeps the linked-cluster identity
+    # but puts ln Z at N^(C - k): above 2, or odd
+    def add_connected(table):
+        key = (3 + n_pow, 1, True)
+        table[3] = {**table[3], key: table[3].get(key, 0) + 1}
+
+    assert logcheck_fails(monkeypatch, capsys, add_connected) == [
+        f"FAIL genus/link lattice [{conv}]: term g^3 N^{n_pow} d^1 off the "
+        "genus lattice" for conv in ("action", "paper_series")]
+
+
+def test_verify_logcheck_fails_on_a_disconnected_weight(monkeypatch, capsys):
+    def bump_disconnected(table):
+        key = next(key for key in table[2] if not key[2])
+        table[2] = {**table[2], key: table[2][key] + 1}
+
+    assert logcheck_fails(monkeypatch, capsys, bump_disconnected) == [
+        f"FAIL linked-cluster mismatch [{conv}]"
+        for conv in ("action", "paper_series")]
+
+
 def test_verify_euler_names_the_row_that_broke(monkeypatch, capsys):
     # one k = 2 pairing traced with a wrong C: its line names it and both keys
     real = cli.components_and_genus
@@ -212,6 +250,17 @@ def test_no_oracle_outlives_its_suite():
     gc.collect()
     assert not [o for o in gc.get_objects()
                 if isinstance(o, oracle.OracleCovariance)]
+
+
+def test_verify_wick_keeps_no_monomials():
+    # the d^2 N^4 quartic monomials live only while their (N, d) is checked
+    def alive():
+        gc.collect()
+        return sum(isinstance(o, gaussian.EntrySymbol) for o in gc.get_objects())
+
+    before = alive()
+    assert run(["verify", "wick", "--N", "3", "--d", "2"]) == 0
+    assert alive() == before
 
 
 def test_verify_unknown_suite_rejected(capsys):
@@ -472,8 +521,12 @@ def test_verify_propagators_fails_on_wrong_propagator(monkeypatch, capsys):
 def test_verify_wick_fails_on_wrong_counterterm(monkeypatch, capsys):
     assert run(["verify", "wick", "--N", "1,2", "--d", "1"]) == 0
     real = gaussian.wick_order_quartic
-    monkeypatch.setattr(gaussian, "wick_order_quartic",
-                        lambda N, d: (real(N, d)[0], real(N, d)[1] + 1e-6))
+
+    def shifted_c2(N, d, monomials):
+        c1, c2 = real(N, d, monomials)
+        return c1, c2 + 1e-6
+
+    monkeypatch.setattr(gaussian, "wick_order_quartic", shifted_c2)
     assert run(["verify", "wick", "--N", "1,2", "--d", "1"]) == 1
     fails = [line.split(" = ")[0] for line in capsys.readouterr().err.splitlines()
              if line.startswith("FAIL")]

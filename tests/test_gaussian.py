@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from triline.errors import ValidationError
 from triline.gaussian import (A, B, EntrySymbol, MatrixPair, free_partition,
                               iter_pair_partitions, propagator,
-                              t_transform_limit, t_transform_reg,
+                              quartic_monomials, t_transform_limit, t_transform_reg,
                               u_bound_check, wick_moment, wick_order_quartic)
 from triline.oracle import OracleCovariance, entry_positions, richardson_limit
 
@@ -108,7 +108,7 @@ def test_wick_moment_matches_oracle_spot():
 
 def test_wick_order_constants():
     for N, d in ((1, 1), (2, 1), (2, 2), (3, 2)):
-        c1, c2 = wick_order_quartic(N, d)
+        c1, c2 = wick_order_quartic(N, d, quartic_monomials(N, d))
         assert c1 == -4j * N
         assert c2 == -2 * d * N ** 3
 
