@@ -2,23 +2,22 @@
 
 Each of the k vertices carries four legs in cyclic order A, B, A, B; leg
 ids are 0..4k-1 with vertex = id // 4 and position = id % 4.  A diagram is
-a perfect matching (pairing) of the legs.  Tracing conventions:
+a perfect matching (pairing) of the legs.  Both loop counts are cycle
+counts of one permutation of the legs:
 
-* Latin loops: every leg has a row port (2*id) and a col port (2*id + 1).
-  The cyclic trace identifies col(position q) with row(position q+1 mod 4)
-  of the same vertex; each propagator identifies row(x) with col(y) and
-  col(x) with row(y).  The identification graph is a disjoint union of
-  cycles; their count C is the power of N.
+* Latin loops are the faces of the ribbon graph.  The cyclic trace joins
+  each leg's col index to the row index of the next leg around its vertex,
+  rot(y) = y - y % 4 + (y + 1) % 4, and each propagator joins row(x) to
+  col(match[x]); following row indices, every loop is one cycle of
+  x -> rot(match[x]).  Their number C is the power of N.
 * Greek loops: positions 0,2 share one Greek slot, positions 1,3 the
-  other ("the strand passes straight through").  Propagators identify the
-  slots of their endpoints; the cycle count l is the power of d and counts
-  link components.
+  other ("the strand passes straight through").  The slot mate of a leg
+  is y ^ 2, and slot-mate∘matching walks each Greek loop once in each
+  direction, so l, the power of d and the number of link components, is
+  half its cycle count.
 * Per connected component (vertices joined by propagators), Euler's count
-  V - P + C = 2 - 2p with P = 2V gives the genus p = (2 - C_c + V_c) / 2.
-
-Both cycle counts are computed as permutation cycles: composing the port
-involutions gives an orientation-doubled traversal, so C (and l) are half
-the cycle count of the composed permutation.
+  V - P + C = 2 - 2p with P = 2V gives the genus p = (2 - C_c + V_c) / 2;
+  a Latin loop belongs to the component of any of its legs' vertices.
 
 ``brute_force_index_sum`` is the in-module oracle: it sums the product of
 propagator index deltas over explicit Latin/Greek index assignments and
@@ -30,7 +29,6 @@ run it over every labeled pairing (``tests/unreduced.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
@@ -59,12 +57,12 @@ class Pairing:
         for x, y in pairs:
             if not (0 <= x < 4 * k and 0 <= y < 4 * k):
                 raise ValidationError(f"leg id out of range in pair ({x},{y})")
+            # __post_init__ rejects uncovered legs, but (0,1),(1,2),(3,0)
+            # would close into an involution the pairs do not describe
             if match[x] != -1 or match[y] != -1:
                 raise ValidationError(f"leg repeated in pair ({x},{y})")
             match[x] = y
             match[y] = x
-        if -1 in match:
-            raise ValidationError("pairs do not cover all legs")
         return cls(k, tuple(match))
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -72,75 +70,26 @@ class Pairing:
         return [(i, j) for i, j in enumerate(self.match) if i < j]
 
 
-@cache
-def _vertex_port_involution(k: int) -> tuple[int, ...]:
-    """col(position q) <-> row(position q+1 mod 4), as a port involution."""
-    vm = [0] * (8 * k)
-    for v in range(k):
-        for q in range(4):
-            col = 2 * (4 * v + q) + 1
-            row = 2 * (4 * v + (q + 1) % 4)
-            vm[col] = row
-            vm[row] = col
-    return tuple(vm)
-
-
-def _count_cycles(perm) -> int:
-    n = len(perm)
-    seen = [False] * n
-    cycles = 0
-    for i in range(n):
+def _cycles(perm) -> list[int]:
+    """One element of each cycle of the permutation ``perm`` of 0..n-1."""
+    seen = [False] * len(perm)
+    heads = []
+    for i in range(len(perm)):
         if seen[i]:
             continue
-        cycles += 1
+        heads.append(i)
         j = i
         while not seen[j]:
             seen[j] = True
             j = perm[j]
-    return cycles
-
-
-def _latin_cycles(k: int, pairs) -> list[list[int]]:
-    """Cycles of the Latin identification graph, as port lists.
-
-    Every port carries exactly one vertex-trace edge and one propagator
-    edge, so the graph is a disjoint union of cycles alternating between
-    the two edge kinds; each cycle is walked once, alternating P then V.
-    """
-    vm = _vertex_port_involution(k)
-    pm = [0] * (8 * k)
-    for x, y in pairs:
-        pm[2 * x] = 2 * y + 1
-        pm[2 * x + 1] = 2 * y
-        pm[2 * y] = 2 * x + 1
-        pm[2 * y + 1] = 2 * x
-    seen = [False] * (8 * k)
-    cycles = []
-    for start in range(8 * k):
-        if seen[start]:
-            continue
-        orbit = []
-        j = start
-        while True:
-            orbit.append(j)
-            seen[j] = True
-            jp = pm[j]
-            orbit.append(jp)
-            seen[jp] = True
-            j = vm[jp]
-            if j == start:
-                break
-        cycles.append(orbit)
-    return cycles
+    return heads
 
 
 def trace_greek_loops(p: Pairing) -> int:
     """Number l of closed Greek loops (link components)."""
     # slotmate(leg) = leg xor 2 joins the two legs sharing a Greek slot;
     # composing with the matching doubles each undirected cycle.
-    n = 4 * p.k
-    gamma = [p.match[i] ^ 2 for i in range(n)]
-    return _count_cycles(gamma) // 2
+    return len(_cycles([y ^ 2 for y in p.match])) // 2
 
 
 @dataclass(frozen=True)
@@ -187,16 +136,18 @@ def components_and_genus(p: Pairing) -> LoopReport:
     """
     pairs = p.pairs()
     comps = _vertex_components(p.k, pairs)
-    cycles = _latin_cycles(p.k, pairs)
-    C = len(cycles)
+    # Latin loops are the faces: the cycles of x -> rot(match[x]), where
+    # rot steps to the next leg around the same vertex
+    faces = _cycles([y - y % 4 + (y + 1) % 4 for y in p.match])
+    C = len(faces)
     l = trace_greek_loops(p)
     vertex_root = {}
     for ci, comp in enumerate(comps):
         for v in comp:
             vertex_root[v] = ci
     c_per = [0] * len(comps)
-    for ports in cycles:
-        c_per[vertex_root[ports[0] // 8]] += 1
+    for leg in faces:
+        c_per[vertex_root[leg // 4]] += 1
     genus = []
     for ci, comp in enumerate(comps):
         two_p = 2 - c_per[ci] + len(comp)
@@ -223,8 +174,9 @@ def brute_force_index_sum(p: Pairing, N: int, d: int,
     the deltas, each set by looping over all of its assignments (the sets
     share no variable, so the counts multiply); ``propagate`` contracts the
     deltas into equivalence classes first (each free class contributes a
-    factor N or d).  ``auto`` enumerates when the assignment space is
-    small, else propagates.
+    factor N or d).  ``auto`` enumerates when the N^{4k} + d^{2k}
+    assignments are few, else propagates; within the N, d, k <= 3 cap that
+    is at most 532,170 assignments.
     """
     if strategy not in ("auto", "enumerate", "propagate"):
         raise ValidationError(f"unknown strategy {strategy!r}")
@@ -232,12 +184,9 @@ def brute_force_index_sum(p: Pairing, N: int, d: int,
         raise ResourceLimitError("brute force limited to N<=3, d<=3, k<=3")
     k = p.k
     pairs = p.pairs()
-    n_assign = N ** (4 * k) * d ** (2 * k)
+    n_assign = N ** (4 * k) + d ** (2 * k)
     if strategy == "auto":
         strategy = "enumerate" if n_assign <= BRUTE_FORCE_ENUM_LIMIT else "propagate"
-    if strategy == "enumerate" and n_assign > 50 * BRUTE_FORCE_ENUM_LIMIT:
-        raise ResourceLimitError(
-            f"explicit enumeration over {n_assign} assignments refused")
 
     def row_var(leg):
         return 4 * (leg // 4) + leg % 4

@@ -10,11 +10,14 @@ to order g^k assigns one of three types to each of the k vertices:
     constant  0 legs, weight c2 = -2 d N^3
 
 Every vertex still carries c/N with c = i/2 (action) or c = i
-(paper_series).  Tracing generalizes the pure-quartic walk: Latin ports go
-around each vertex cyclically whatever its arity, Greek cycles pair the two
-legs of each slot.  The resulting series must equal the tadpole-free pure
-assembly order by order; this is a from-scratch check, sharing no code with
-the census fold.
+(paper_series).  Tracing counts cycles of permutations of the flat legs
+with the reference tracer's cycle counter, whatever the vertex arity: the
+Latin loops are the cycles of rot∘matching (rot steps to the next leg
+around the vertex), and the Greek loops are half the cycles of
+slot-mate∘matching (the slot mate is the leg half-way round).  A constant
+vertex has no legs and adds no cycle.  The resulting series must equal the
+tadpole-free pure assembly order by order; this is a from-scratch check,
+sharing no code with the census fold.
 
 The phase is not assumed either.  Each term counts its quarter-turns from
 its own factors: one i per vertex from c, one per propagator, and one per
@@ -28,6 +31,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from .diagrams import _cycles
 from .errors import InvariantViolation, ResourceLimitError, ValidationError
 from .series import TriSeries
 
@@ -71,86 +75,22 @@ def _ab_matchings(legs):
     yield from rec(b_idx, 0)
 
 
-def _cycles(pairs_list) -> int:
-    """Number of cycles of the permutation formed by composing matchings."""
-    nxt = {}
-    for a, b in pairs_list:
-        nxt[a] = b
-    seen = set()
-    count = 0
-    for start in nxt:
-        if start in seen:
-            continue
-        count += 1
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cur = nxt[cur]
-    return count
-
-
-def _latin_cycles(types, legs, match) -> int:
-    """Index loops: propagator crosses row/col, vertex walks ports cyclically."""
-    # ports: (leg, "row") and (leg, "col")
-    prop = {}
+def _loops(types, legs, match) -> tuple[int, int]:
+    """Latin and Greek loop counts (C, l) of one pairing of the flat legs."""
+    partner = [0] * len(legs)
     for a, b in match:
-        prop[(a, "row")] = (b, "col")
-        prop[(b, "col")] = (a, "row")
-        prop[(b, "row")] = (a, "col")
-        prop[(a, "col")] = (b, "row")
-    vert = {}
-    base = 0
-    for v, t in enumerate(types):
-        m = _ARITY[t]
-        for q in range(m):
-            this = base + q
-            nxt = base + (q + 1) % m
-            vert[(this, "col")] = (nxt, "row")
-            vert[(nxt, "row")] = (this, "col")
-        base += m
-    count = 0
-    seen = set()
-    for start in prop:
-        if start in seen:
-            continue
-        count += 1
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cur = vert[prop[cur]]
-    # each index loop is traversed once from a row port and once from a col port
-    if count % 2:
-        raise InvariantViolation(
-            f"odd Latin port-cycle count {count}: types {types}, "
-            f"pairing {match}")
-    return count // 2
-
-
-def _greek_cycles(types, legs, match) -> int:
-    """Family-index loops: slot-mate within a vertex composed with the pairing."""
-    slotmate = {}
-    base = 0
-    for v, t in enumerate(types):
-        m = _ARITY[t]
-        if m == 4:
-            slotmate[base + 0] = base + 2
-            slotmate[base + 2] = base + 0
-            slotmate[base + 1] = base + 3
-            slotmate[base + 3] = base + 1
-        elif m == 2:
-            slotmate[base + 0] = base + 1
-            slotmate[base + 1] = base + 0
-        base += m
-    pairing = {}
-    for a, b in match:
-        pairing[a] = b
-        pairing[b] = a
-    walk = [(i, slotmate[pairing[i]]) for i in pairing]
-    c = _cycles(walk)
+        partner[a], partner[b] = b, a
+    rot, mate = [], []
+    for i, (v, q) in enumerate(legs):
+        m = _ARITY[types[v]]      # 4 or 2: a constant vertex has no legs
+        rot.append(i - q + (q + 1) % m)
+        mate.append(i - q + (q + m // 2) % m)
+    C = len(_cycles([rot[j] for j in partner]))
+    c = len(_cycles([mate[j] for j in partner]))
     if c % 2:
         raise InvariantViolation(
             f"odd Greek cycle count {c}: types {types}, pairing {match}")
-    return c // 2
+    return C, c // 2
 
 
 def counterterm_series(kmax: int, convention: str = "action") -> TriSeries:
@@ -182,7 +122,6 @@ def counterterm_series(kmax: int, convention: str = "action") -> TriSeries:
             n_shift = nq + 3 * nc - k
             d_shift = nc
             for match in _ab_matchings(legs):
-                C = _latin_cycles(types, legs, match) if legs else 0
-                l = _greek_cycles(types, legs, match) if legs else 0
+                C, l = _loops(types, legs, match)
                 out._accumulate((k, C + n_shift, l + d_shift), coeff)
     return out

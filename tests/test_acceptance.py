@@ -6,7 +6,6 @@ each criterion is a single test with its stated tolerance.
 import itertools
 import math
 import time
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np

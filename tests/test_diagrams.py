@@ -1,7 +1,6 @@
 """Pairing enumeration, triple-line loop tracing, genus, brute-force sums."""
 import math
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +36,11 @@ def test_pairing_validation():
     assert p.pairs() == [(0, 3), (1, 2)]
     assert is_ab(p)
     assert not is_ab(Pairing.from_pairs(1, [(0, 2), (1, 3)]))
+    for bad in ([(0, 3), (1, -2)],           # negative leg id
+                [(0, 1), (1, 2), (3, 0)],    # leg 1 repeated
+                [(0, 3)]):                   # legs 1 and 2 uncovered
+        with pytest.raises(ValidationError):
+            Pairing.from_pairs(1, bad)
 
 
 def test_enumeration_counts_exact():
@@ -106,10 +110,15 @@ def test_brute_force_matches_loop_formula_exhaustive_k2():
 
 
 def test_brute_force_strategies_agree():
-    p = Pairing.from_pairs(2, [(0, 5), (1, 4), (2, 7), (3, 6)])
-    a = brute_force_index_sum(p, 2, 2, strategy="enumerate")
-    b = brute_force_index_sum(p, 2, 2, strategy="propagate")
-    assert a == b
+    # the second case sits at the N = d = k = 3 cap: 3^12 Latin plus 3^6
+    # Greek assignments, counted apart
+    for k, pairs, n in ((2, [(0, 5), (1, 4), (2, 7), (3, 6)], 2),
+                        (3, [(0, 5), (1, 8), (2, 11), (3, 6), (4, 9),
+                             (7, 10)], 3)):
+        p = Pairing.from_pairs(k, pairs)
+        a = brute_force_index_sum(p, n, n, strategy="enumerate")
+        b = brute_force_index_sum(p, n, n, strategy="propagate")
+        assert a == b
 
 
 def test_brute_force_caps():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triline.errors import ValidationError
-from triline.gaussian import (A, B, EntrySymbol, MatrixPair, free_partition,
+from triline.gaussian import (A, B, MatrixPair, free_partition,
                               iter_pair_partitions, propagator,
                               quartic_monomials, t_transform_limit, t_transform_reg,
                               u_bound_check, wick_moment, wick_order_quartic)

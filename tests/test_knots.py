@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from triline import diagrams
 from triline.census import pairing_census
-from triline.diagrams import Pairing, components_and_genus, trace_greek_loops
+from triline.diagrams import Pairing, components_and_genus
 from triline.errors import ResourceLimitError, StructureError, ValidationError
 from triline.knots import (GaussCode, KNOTS_KMAX, TREFOIL, canonical_code,
                            enumerate_knot_diagrams, knot_record, reduce_R1)

@@ -37,6 +37,14 @@ def test_series_and_knots_load_no_reference_tracer():
     assert _fresh(show) == "[]"
 
 
+def test_reference_tracer_loads_no_fast_path():
+    # verify euler checks the census and the series against the reference
+    # tracer, so the tracer must not be built from them
+    show = ("import sys, triline.diagrams; print(sorted(m for m in sys.modules "
+            "if m in ('triline.census', 'triline.series', 'triline.knots')))")
+    assert _fresh(show) == "[]"
+
+
 def test_cli_binds_the_reference_tracer():
     # verify euler traces through cli's own binding, which tests and the
     # benchmark's call counter patch
@@ -69,3 +77,28 @@ def test_source_has_no_bare_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _imported_and_unread(path: Path) -> list[str]:
+    """``file:line name`` for each name an import binds and nothing reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name not in read]
+    return found
+
+
+def test_source_and_tests_import_no_unused_name():
+    src = Path(triline.__file__).parent
+    paths = sorted([*src.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+    assert {"series.py", "test_package.py"} <= {path.name for path in paths}
+    assert [hit for path in paths for hit in _imported_and_unread(path)] == []
