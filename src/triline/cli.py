@@ -5,8 +5,11 @@ reads (``COMMANDS``, ``SUITES``), plus ``--config FILE``, whose
 ``key = value`` lines count as flags placed before the command line's.
 Exit codes: 0 success, 1 verification failure, 2 usage/resource error;
 ``--N`` above 8 or ``--d`` above 4 is a usage error.  ``verify wick`` and
-``verify propagators`` build one oracle per eps for each (N, d), ask it
-for every moment at once and drop it after the extrapolation.
+``verify propagators`` build one oracle (the eps-free K0) per (N, d); eps
+enters only through the oracle's 2 x 2 block: ``verify wick`` asks for
+every moment at each eps at once and extrapolates the batch, and
+``verify propagators`` extrapolates the block alone and forms each row
+of the limit covariance from it and K0.
 Machine output goes to --out (or stdout); human summaries go to stderr.
 ``expand`` and ``verify logcheck`` still accept ``--threads`` (>= 1) and
 ignore it: the census runs in one process.  numpy and the modules that
@@ -54,7 +57,7 @@ def _list_of(num):
 
 
 def _sizes(cap: int):
-    # the oracle's covariance holds (2 d N^2)^2 complex numbers: 4 MB at the caps
+    # the oracle holds K0, (d N^2)^2 complex numbers: 1 MB at the caps
     return _checked(_list_of(int), lambda v: v and 1 <= min(v) <= max(v) <= cap,
                     f"comma-separated integers in 1..{cap}")
 
@@ -198,25 +201,29 @@ def cmd_knots(args: argparse.Namespace) -> int:
 
 def _verify_propagators(args: argparse.Namespace, failures: list[str]) -> None:
     from .gaussian import entry_pool, propagator
-    from .oracle import OracleCovariance, richardson_limit
+    from .oracle import OracleCovariance, block_inverse, richardson_limit
+    # eps enters the covariance kron(B(eps)^{-1}, K0) only through the 2 x 2
+    # block, so the limit covariance is the block's limit spread over K0
+    block = richardson_limit(block_inverse)
     for N in args.N:
         for d in args.d:
-            symbols = entry_pool(N, d)      # in the order of cov's rows
-            cov = richardson_limit(
-                lambda eps: OracleCovariance(N, d, eps).cov)
+            orc = OracleCovariance(N, d)
+            symbols = entry_pool(N, d)      # in the order of the rows
             for i, x in enumerate(symbols):
+                row = orc.covariance_row(block, i)
                 for j, y in enumerate(symbols):
                     want = propagator(x, y)
-                    if abs(cov[i, j] - want) >= 1e-8:
+                    if abs(row[j] - want) >= 1e-8:
                         failures.append(
                             f"propagator N={N} d={d} {x} {y}: "
-                            f"oracle {complex(cov[i, j])} vs {want}")
+                            f"oracle {complex(row[j])} vs {want}")
 
 
 def _verify_wick(args: argparse.Namespace, failures: list[str]) -> None:
     from .gaussian import (EntrySymbol, entry_pool, iter_pair_partitions,
-                           quartic_monomials, wick_moment, wick_order_quartic)
-    from .oracle import OracleCovariance, entry_positions, richardson_limit
+                           wick_moment, wick_order_quartic)
+    from .oracle import (OracleCovariance, entry_positions, quartic_positions,
+                         richardson_limit)
     for m in (2, 3):
         want = 1
         for j in range(2 * m - 1, 0, -2):
@@ -233,15 +240,14 @@ def _verify_wick(args: argparse.Namespace, failures: list[str]) -> None:
                  for _ in range(count)] for deg, count in ((4, 8), (6, 4)))
             pairs = [(x, EntrySymbol("B", x.mu, x.l, x.k))
                      for x in pool[:len(pool) // 2]]     # the A entries
-            quartic = quartic_monomials(N, d)
-            batches = [entry_positions(b, N, d)
-                       for b in (fours, sixes, quartic, pairs)]
-            c1, c2 = wick_order_quartic(N, d, quartic)
-            del quartic     # d^2 N^4 tuples; the oracle reads the positions
+            batches = [entry_positions(b, N, d) for b in (fours, sixes)]
+            batches += [quartic_positions(N, d), entry_positions(pairs, N, d)]
+            c1, c2 = wick_order_quartic(N, d)
+            orc = OracleCovariance(N, d)
 
             def moments_and_ordered_mean(eps):
-                orc = OracleCovariance(N, d, eps)
-                four, six, quartic, traces = (orc.moments(b) for b in batches)
+                four, six, quartic, traces = (orc.moments(b, eps)
+                                              for b in batches)
                 return [*four, *six, quartic.sum() + c1 * traces.sum() + c2]
             *got, val = richardson_limit(moments_and_ordered_mean)
             for entries, moment in zip(fours + sixes, got):

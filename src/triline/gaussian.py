@@ -23,7 +23,6 @@ moments here are normalized by the partition value; multiply by
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,63 +228,76 @@ def wick_moment(entries) -> complex:
     return total
 
 
-def quartic_monomials(N: int, d: int) -> tuple[tuple[EntrySymbol, ...], ...]:
-    """Entry factors of sum_{mu nu} Tr(A_mu B_nu A_mu B_nu), one tuple each.
-
-    ``wick_order_quartic`` and the oracle check of the ordered vertex read
-    the same d^2 N^4 monomials: a caller builds them once and passes them.
-    """
-    r = range(1, N + 1)
-    return tuple((A(mu, j, l), B(nu, l, m), A(mu, m, n), B(nu, n, j))
-                 for mu in range(1, d + 1) for nu in range(1, d + 1)
-                 for j in r for l in r for m in r for n in r)
-
-
 _SINGLE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def wick_order_quartic(N: int, d: int, monomials) -> tuple[complex, complex]:
+def _set_partitions(n: int):
+    """Set partitions of range(n) as block labels, first occurrence in order.
+
+    (0, 0, 1, 2) puts factors 0 and 1 in one block; there are Bell(n) of
+    them, 15 for n = 4.
+    """
+    def rec(labels):
+        if len(labels) == n:
+            yield labels
+            return
+        for b in range(max(labels, default=-1) + 2):
+            yield from rec(labels + (b,))
+    yield from rec(())
+
+
+def wick_order_quartic(N: int, d: int) -> tuple[complex, complex]:
     """Counterterm coefficients of the Wick-ordered quartic vertex.
 
-    Returns (c1, c2) such that, with Q summed over ``monomials``
-    (``quartic_monomials(N, d)``),
+    Returns (c1, c2) such that
 
         :Q: = Q + c1 * sum_mu Tr(A_mu B_mu) + c2,
-        Q = sum_{mu nu} Tr(A_mu B_nu A_mu B_nu),
+        Q = sum_{mu nu} sum_{jlmn} A_mu^{jl} B_nu^{lm} A_mu^{mn} B_nu^{nj},
 
     has vanishing expectation and no same-vertex self contractions.  Both
     coefficients are derived here from the pairing rules: c1 collects the
     single-contraction residue of Q (verified to be proportional to
     Tr(A_mu B_mu)), and c2 is the full-contraction value E[Q].
+
+    The pairing rules see only which indices are equal, so the d^2 N^4
+    monomials fall into index patterns: a set partition of (j, l, m, n),
+    times mu = nu or mu != nu.  One representative monomial is walked per
+    pattern, weighted by the monomials it stands for, N (N-1) ... over its
+    blocks times d or d (d-1).  Each single contraction must leave a term
+    A_mu^{ab} B_mu^{ba}; relabeling indices permutes those terms within
+    the diagonal ones (a = b, dN of them) and within the dN(N-1) others,
+    so the residue is uniform when the two classes have one mean.
     """
     if N < 1 or d < 1:
         raise ValidationError("N and d must be >= 1")
-    quad: dict[tuple[EntrySymbol, EntrySymbol], complex] = defaultdict(complex)
+    at = f"at N={N} d={d}"
     const = 0.0 + 0.0j
-    for mono in monomials:
-        const += wick_moment(mono)
-        for a, b in _SINGLE_PAIRS:
-            v = propagator(mono[a], mono[b])
-            if v == 0:
+    residue: dict[bool, complex] = {}    # is the term diagonal -> its sum
+    for labels in _set_partitions(4):
+        j, l, m, n = (b + 1 for b in labels)
+        for nu, greek in ((1, d), (2, d * (d - 1))):
+            weight = math.perm(N, max(labels) + 1) * greek
+            if weight == 0:
                 continue
-            rest = tuple(sorted(mono[i] for i in range(4) if i not in (a, b)))
-            quad[rest] += v
-    # The residue must be lam * sum_mu sum_{ab} A_mu^{ab} B_mu^{ba}.
-    expected_keys = {
-        tuple(sorted((A(mu, a, b), B(mu, b, a))))
-        for mu in range(1, d + 1)
-        for a in range(1, N + 1) for b in range(1, N + 1)
-    }
-    lam = None
-    for key, coeff in quad.items():
-        if key not in expected_keys:
-            raise InvariantViolation(f"unexpected self-contraction term {key}")
-        if lam is None:
-            lam = coeff
-        elif abs(coeff - lam) > 1e-9:
-            raise InvariantViolation("self-contraction residue is not uniform")
-    missing = expected_keys - set(quad)
-    if missing or lam is None:
-        raise InvariantViolation("self-contraction residue has missing terms")
+            mono = (A(1, j, l), B(nu, l, m), A(1, m, n), B(nu, n, j))
+            const += weight * wick_moment(mono)
+            for a, b in _SINGLE_PAIRS:
+                v = propagator(mono[a], mono[b])
+                if v == 0:
+                    continue
+                x, y = sorted(mono[i] for i in range(4) if i not in (a, b))
+                if (x.family, y.family) != ("A", "B") or \
+                        not _delta_pattern(x, y):
+                    raise InvariantViolation(
+                        f"unexpected self-contraction term {(x, y)} {at}")
+                diagonal = x.k == x.l
+                residue[diagonal] = residue.get(diagonal, 0.0) + weight * v
+    # the residue must be lam * sum_mu sum_{ab} A_mu^{ab} B_mu^{ba}
+    keys = {True: d * N, False: d * N * (N - 1)}
+    if {c for c, count in keys.items() if count} != set(residue):
+        raise InvariantViolation(f"self-contraction residue has missing terms {at}")
+    means = {c: residue[c] / keys[c] for c in residue}
+    lam = means[True]
+    if any(abs(mean - lam) > 1e-9 for mean in means.values()):
+        raise InvariantViolation(f"self-contraction residue is not uniform {at}")
     return -lam, const
-

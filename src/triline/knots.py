@@ -122,7 +122,6 @@ def canonical_code(c: GaussCode) -> GaussCode:
     return GaussCode(min(relabeled(r) for r in range(len(c.entries))))
 
 
-TREFOIL = GaussCode.parse("O1U2O3U1O2U3")
 KNOTS_KMAX = 5    # one line per labeled pairing: k = 6 would be 51,440,640
 
 

@@ -13,16 +13,19 @@ import numpy as np
 from triline.census import pairing_census
 from triline.diagrams import brute_force_index_sum, components_and_genus
 from triline.gaussian import (EntrySymbol, entry_pool, free_partition,
-                              iter_pair_partitions, propagator,
-                              quartic_monomials, wick_moment, wick_order_quartic)
-from triline.knots import (TREFOIL, canonical_code, enumerate_knot_diagrams,
+                              iter_pair_partitions, propagator, wick_moment,
+                              wick_order_quartic)
+from triline.knots import (canonical_code, enumerate_knot_diagrams,
                            reduce_R1)
 from triline.mixed import counterterm_series
-from triline.oracle import OracleCovariance, entry_positions, richardson_limit
+from triline.oracle import (OracleCovariance, block_inverse, entry_positions,
+                            richardson_limit)
 from triline.series import (F_of_g, assemble_Z, census_table,
                             connected_assemble, extract_Flp, formal_log, re_im)
 from row_census import row_census, tadpole_marginal
-from unreduced import alternating_check, count_matchings, enumerate_matchings
+from unreduced import (TREFOIL, alternating_check, count_matchings,
+                       enumerate_matchings)
+from wick_reference import quartic_monomials
 
 
 def report(num, desc, ok, detail=""):
@@ -35,8 +38,7 @@ def test_criterion_01_free_partition():
     worst = 0.0
     for N in (1, 2, 3):
         for d in (1, 2):
-            got = richardson_limit(
-                lambda e: OracleCovariance(N, d, e).normalization())
+            got = richardson_limit(OracleCovariance(N, d).normalization)
             want = free_partition(N, d)
             worst = max(worst, abs(got - want) / want)
     report(1, "extrapolated oracle normalization = 2^(dN) pi^(dN^2), "
@@ -51,10 +53,12 @@ def test_criterion_02_propagator_pattern():
         for d in (1, 2):
             pool = entry_pool(N, d)
             pos = entry_positions(pool, N, d)
-            cov = richardson_limit(lambda e: OracleCovariance(N, d, e).cov)
+            orc = OracleCovariance(N, d)
+            block = richardson_limit(block_inverse)
             for x, i in zip(pool, pos):
+                row = orc.covariance_row(block, i)
                 for y, j in zip(pool, pos):
-                    worst = max(worst, abs(cov[i, j] - propagator(x, y)))
+                    worst = max(worst, abs(row[j] - propagator(x, y)))
                     pairs += 1
     report(2, "all second moments at N <= 3, d <= 2 match the i*delta "
               "pattern, abs err < 1e-8",
@@ -75,8 +79,8 @@ def test_criterion_03_wick_theorem():
                 combos = list(itertools.combinations_with_replacement(pool, deg))
                 want = np.array([wick_moment(c) for c in combos])
                 pos = entry_positions(combos, N, d)
-                got = richardson_limit(
-                    lambda e: OracleCovariance(N, d, e).moments(pos))
+                orc = OracleCovariance(N, d)
+                got = richardson_limit(lambda e: orc.moments(pos, e))
                 worst = max(worst, float(np.max(np.abs(got - want))))
                 moments += len(combos)
     report(3, "all degree-4/6 moments at N <= 2, d <= 2: pairing sum = "
@@ -189,18 +193,16 @@ def test_criterion_10_wick_ordered_vertex():
     worst = 0.0
     for N in (1, 2):
         for d in (1, 2):
-            monomials = quartic_monomials(N, d)
-            c1, c2 = wick_order_quartic(N, d, monomials)
-            quartic = entry_positions(monomials, N, d)
+            c1, c2 = wick_order_quartic(N, d)
+            quartic = entry_positions(quartic_monomials(N, d), N, d)
             pairs = entry_positions(
                 [(EntrySymbol("A", mu, a, b), EntrySymbol("B", mu, b, a))
                  for mu in range(1, d + 1)
                  for a in range(1, N + 1) for b in range(1, N + 1)], N, d)
 
-            def ordered_mean(eps, N=N, d=d, c1=c1, c2=c2):
-                orc = OracleCovariance(N, d, eps)
-                return (orc.moments(quartic).sum()
-                        + c1 * orc.moments(pairs).sum() + c2)
+            def ordered_mean(eps, orc=OracleCovariance(N, d), c1=c1, c2=c2):
+                return (orc.moments(quartic, eps).sum()
+                        + c1 * orc.moments(pairs, eps).sum() + c2)
 
             worst = max(worst, abs(richardson_limit(ordered_mean)))
     exact = all(

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -261,6 +262,19 @@ def test_verify_wick_keeps_no_monomials():
     before = alive()
     assert run(["verify", "wick", "--N", "3", "--d", "2"]) == 0
     assert alive() == before
+
+
+@pytest.mark.parametrize("suite", ["propagators", "wick"])
+def test_gaussian_suites_at_the_caps_stay_small(suite):
+    # at --N 8 --d 4 the oracle holds K0 (1 MB) and no covariance per eps,
+    # and the counterterms come from one monomial per index pattern
+    tracemalloc.start()
+    try:
+        assert run(["verify", suite, "--N", "8", "--d", "4"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
 
 
 def test_verify_unknown_suite_rejected(capsys):
@@ -522,8 +536,8 @@ def test_verify_wick_fails_on_wrong_counterterm(monkeypatch, capsys):
     assert run(["verify", "wick", "--N", "1,2", "--d", "1"]) == 0
     real = gaussian.wick_order_quartic
 
-    def shifted_c2(N, d, monomials):
-        c1, c2 = real(N, d, monomials)
+    def shifted_c2(N, d):
+        c1, c2 = real(N, d)
         return c1, c2 + 1e-6
 
     monkeypatch.setattr(gaussian, "wick_order_quartic", shifted_c2)

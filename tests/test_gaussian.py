@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triline.errors import ValidationError
+from triline import gaussian
+from triline.errors import InvariantViolation, ValidationError
 from triline.gaussian import (A, B, MatrixPair, free_partition,
                               iter_pair_partitions, propagator,
-                              quartic_monomials, t_transform_limit, t_transform_reg,
+                              t_transform_limit, t_transform_reg,
                               u_bound_check, wick_moment, wick_order_quartic)
 from triline.oracle import OracleCovariance, entry_positions, richardson_limit
+from wick_reference import wick_order_quartic_per_monomial
 
 
 def test_free_partition_closed_form():
@@ -59,7 +61,7 @@ def test_t_transform_oracle_cross_check():
     eps = 0.2
     for N, d in ((2, 1), (3, 2)):
         fg = MatrixPair.random(N, d, seed=3)
-        want = OracleCovariance(N, d, eps).char_function(fg)
+        want = OracleCovariance(N, d).char_function(fg, eps)
         assert t_transform_reg(fg, eps) == pytest.approx(want, rel=1e-10)
 
 
@@ -102,15 +104,50 @@ def test_wick_moment_matches_oracle_spot():
     entries = [A(1, 1, 2), B(1, 2, 1), A(2, 2, 2), B(2, 2, 2)]
     want = wick_moment(entries)
     pos = entry_positions([entries], N, d)
-    (got,) = richardson_limit(lambda e: OracleCovariance(N, d, e).moments(pos))
+    orc = OracleCovariance(N, d)
+    (got,) = richardson_limit(lambda e: orc.moments(pos, e))
     assert abs(got - complex(want)) < 1e-10
 
 
 def test_wick_order_constants():
-    for N, d in ((1, 1), (2, 1), (2, 2), (3, 2)):
-        c1, c2 = wick_order_quartic(N, d, quartic_monomials(N, d))
+    for N, d in ((1, 1), (2, 1), (2, 2), (3, 2), (8, 4)):
+        c1, c2 = wick_order_quartic(N, d)
         assert c1 == -4j * N
         assert c2 == -2 * d * N ** 3
+
+
+def test_grouped_wick_order_equals_per_monomial_reference():
+    for N in range(1, 5):
+        for d in range(1, 4):
+            assert wick_order_quartic(N, d) == \
+                wick_order_quartic_per_monomial(N, d), (N, d)
+    with pytest.raises(ValidationError):
+        wick_order_quartic(0, 1)
+
+
+# perturbed propagators; ``propagator`` here stays the module's original
+def _same_family_pairs(x, y):
+    # also pairs A with A: leaves B B terms after one contraction
+    if x.family == y.family == "A":
+        return 1j if gaussian._delta_pattern(x, y) else 0j
+    return propagator(x, y)
+
+
+def _row_two_heavier(x, y):
+    # depends on an index value, so relabeling no longer permutes the
+    # residue's terms: only off-diagonal ones get the doubled contractions
+    return 2 * propagator(x, y) if x.k == 2 else propagator(x, y)
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (_same_family_pairs, "unexpected self-contraction term"),
+    (_row_two_heavier, "self-contraction residue is not uniform"),
+    (lambda x, y: 0j, "self-contraction residue has missing terms"),
+])
+def test_wick_order_failures_name_their_point(monkeypatch, wrong, message):
+    monkeypatch.setattr(gaussian, "propagator", wrong)
+    with pytest.raises(InvariantViolation, match=f"{message}.* at N=3 d=2$"):
+        wick_order_quartic(3, 2)
 
 
 def test_u_bound_holds_and_detects_violation():

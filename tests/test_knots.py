@@ -10,12 +10,12 @@ from triline import diagrams
 from triline.census import pairing_census
 from triline.diagrams import Pairing, components_and_genus
 from triline.errors import ResourceLimitError, StructureError, ValidationError
-from triline.knots import (GaussCode, KNOTS_KMAX, TREFOIL, canonical_code,
+from triline.knots import (GaussCode, KNOTS_KMAX, canonical_code,
                            enumerate_knot_diagrams, knot_record, reduce_R1)
 from triline.series import (census_table, coeff_json, connected_assemble,
                             extract_Flp)
-from unreduced import alternating_check, enumerate_matchings, is_tadpole, \
-    to_gauss_code
+from unreduced import (TREFOIL, alternating_check, enumerate_matchings,
+                       is_tadpole, to_gauss_code)
 
 # canonical code multisets per order, frozen from an independent walk
 FROZEN_CODES = {

@@ -6,23 +6,25 @@ import pytest
 
 from triline.errors import InvariantViolation, ValidationError
 from triline.gaussian import A, B, MatrixPair, entry_pool, free_partition
-from triline.oracle import (OracleCovariance, _coordinates, entry_positions,
+from triline.oracle import (OracleCovariance, _coordinates, block_inverse,
+                            entry_positions, quartic_positions,
                             richardson_limit)
+from wick_reference import quartic_monomials
 
 
 def test_normalization_extrapolates_to_free_partition():
     for N in (1, 2):
         for d in (1, 2):
-            val = richardson_limit(
-                lambda e: OracleCovariance(N, d, e).normalization())
+            val = richardson_limit(OracleCovariance(N, d).normalization)
             want = free_partition(N, d)
             assert abs(val - want) / want < 1e-9
 
 
 def test_coupling_inverse_residual_guard():
-    orc = OracleCovariance(3, 2, 0.05)
-    n = len(orc.cov)
-    residual = np.max(np.abs(orc.coupling @ orc.inverse - np.eye(n)))
+    orc = OracleCovariance(3, 2)
+    n = 2 * len(orc.k0)
+    residual = np.max(np.abs(orc.coupling(0.05) @ orc.inverse(0.05)
+                             - np.eye(n)))
     assert residual < 1e-10
 
 
@@ -69,33 +71,38 @@ def test_coordinates_expand_hermitian_matrices():
 def test_block_covariance_equals_dense_reference():
     for N in (1, 2, 3):
         for d in (1, 2):
+            orc = OracleCovariance(N, d)
+            n = 2 * d * N * N
+            every_pair = np.indices((n, n)).reshape(2, -1).T
             for eps in (0.3, 1e-2, 1e-5):
                 M, C, sigma = _dense_reference(N, d, eps)
-                orc = OracleCovariance(N, d, eps)
                 want = C @ sigma @ C.T
-                assert np.max(np.abs(orc.cov - want)) <= \
+                cov = orc.moments(every_pair, eps).reshape(n, n)
+                assert np.max(np.abs(cov - want)) <= \
                     1e-12 * np.max(np.abs(want))
                 sign, logabs = np.linalg.slogdet(M)
                 norm = ((2 * math.pi) ** (len(M) / 2)
                         / (np.exp(0.5 * logabs) * np.sqrt(sign)))
-                assert orc.normalization() == pytest.approx(norm, rel=1e-12)
+                assert orc.normalization(eps) == pytest.approx(norm, rel=1e-12)
 
 
 def test_oracle_keeps_only_the_covariance():
-    # coupling and inverse are built on demand, never stored
+    # the oracle holds the eps-free K0 and s; coupling, inverse and the
+    # covariance at an eps are built on demand, never stored
     for N, d in ((1, 1), (3, 2), (4, 3)):
-        orc = OracleCovariance(N, d, 0.01)
-        n = len(orc.cov)
+        orc = OracleCovariance(N, d)
+        h = d * N * N
+        assert orc.k0.shape == (h, h)
         held = sum(v.nbytes for v in vars(orc).values()
                    if isinstance(v, np.ndarray))
-        assert held <= orc.cov.nbytes + 64 * n + 256
+        assert held <= orc.k0.nbytes + 64 * h + 256
 
 
 def test_entry_covariance_finite_epsilon_values():
     # at finite eps the same-family transposed pair is eps/(1+eps^2), not 0
     x = A(1, 1, 2)
-    val, same, cross = OracleCovariance(2, 1, 0.3).moments(entry_positions(
-        [(x, A(1, 2, 1)), (x, x), (x, B(1, 2, 1))], 2, 1))
+    val, same, cross = OracleCovariance(2, 1).moments(entry_positions(
+        [(x, A(1, 2, 1)), (x, x), (x, B(1, 2, 1))], 2, 1), 0.3)
     assert val == pytest.approx(0.3 / 1.09, rel=1e-10)
     # the non-transposed same-family pair vanishes at every eps
     assert abs(same) < 1e-14
@@ -107,15 +114,16 @@ def test_propagator_limits():
     # eps -> 0: AB -> i, AA -> 0
     pos = entry_positions([(A(1, 1, 2), B(1, 2, 1)), (A(1, 1, 2), A(1, 2, 1))],
                           2, 1)
-    cross, same = richardson_limit(
-        lambda e: OracleCovariance(2, 1, e).moments(pos))
+    orc = OracleCovariance(2, 1)
+    cross, same = richardson_limit(lambda e: orc.moments(pos, e))
     assert abs(cross - 1j) < 1e-10
     assert abs(same) < 1e-10
 
 
 def test_moment_odd_degree_zero():
-    orc = OracleCovariance(1, 1, 0.2)
-    assert orc.moments(entry_positions([[A(1, 1, 1)]], 1, 1)).tolist() == [0]
+    orc = OracleCovariance(1, 1)
+    assert orc.moments(entry_positions([[A(1, 1, 1)]], 1, 1), 0.2).tolist() \
+        == [0]
 
 
 def test_char_function_against_quadrature():
@@ -123,10 +131,10 @@ def test_char_function_against_quadrature():
     # char function at F = f, G = g has the closed form
     # 2 pi / sqrt(eps^2 + 1) * exp(-(eps(f^2+g^2) + 2 i f g) / (2 (eps^2+1)))
     eps, f, g = 0.4, 0.6, -0.3
-    orc = OracleCovariance(1, 1, eps)
+    orc = OracleCovariance(1, 1)
     F = np.array([[[f]]], dtype=complex)
     G = np.array([[[g]]], dtype=complex)
-    got = orc.char_function(MatrixPair(1, 1, F, G))
+    got = orc.char_function(MatrixPair(1, 1, F, G), eps)
     want = (2 * math.pi / math.sqrt(eps ** 2 + 1)
             * np.exp(-(eps * (f * f + g * g) + 2j * f * g) / (2 * (eps ** 2 + 1))))
     assert got == pytest.approx(want, rel=1e-12)
@@ -134,9 +142,14 @@ def test_char_function_against_quadrature():
 
 def test_oracle_validates_inputs():
     with pytest.raises(ValidationError):
-        OracleCovariance(0, 1, 0.1)
-    with pytest.raises(ValidationError):
-        OracleCovariance(2, 1, -0.5)
+        OracleCovariance(0, 1)
+    for eps in (-0.5, 0.0):
+        with pytest.raises(ValidationError):
+            block_inverse(eps)
+        with pytest.raises(ValidationError):     # odd degree too
+            OracleCovariance(2, 1).moments([[0, 1], [1, 2]], eps)
+        with pytest.raises(ValidationError):
+            OracleCovariance(2, 1).moments([[0]], eps)
     with pytest.raises(ValidationError):
         entry_positions([[A(1, 1, 3)]], 2, 1)
 
@@ -165,38 +178,38 @@ def test_entry_positions_follow_pool_order_and_check_bounds():
     assert entry_positions([pool[:2], pool[2:4]], 2, 2).shape == (2, 2)
     with pytest.raises(ValidationError):
         entry_positions([A(3, 1, 1)], 2, 2)
-    orc = OracleCovariance(2, 2, 0.1)
+    orc = OracleCovariance(2, 2)
     with pytest.raises(ValidationError):
-        orc.moments(np.array([[0, len(pool)]]))
+        orc.moments(np.array([[0, len(pool)]]), 0.1)
     with pytest.raises(ValidationError):
-        orc.moments(np.array([[-1, 0]]))
+        orc.moments(np.array([[-1, 0]]), 0.1)
 
 
 def test_moments_batch_equals_per_product_rows():
     N, d = 2, 2
     pool = entry_pool(N, d)
-    orc = OracleCovariance(N, d, 0.07)
+    orc, eps = OracleCovariance(N, d), 0.07
     rng = np.random.default_rng(5)
     for deg in (0, 2, 4, 6):
         pos = rng.integers(0, len(pool), size=(40, deg))
-        batch = orc.moments(pos)
-        rows = [orc.moments(row[None])[0] for row in pos]
+        batch = orc.moments(pos, eps)
+        rows = [orc.moments(row[None], eps)[0] for row in pos]
         assert np.allclose(batch, rows, rtol=0, atol=1e-13)
         # a moment is symmetric in its factors
         shuffled = rng.permuted(pos, axis=1)
-        assert np.allclose(orc.moments(shuffled), batch, rtol=0, atol=1e-13)
+        assert np.allclose(orc.moments(shuffled, eps), batch, rtol=0, atol=1e-13)
     for deg in (1, 3, 5):
         pos = rng.integers(0, len(pool), size=(10, deg))
-        assert not orc.moments(pos).any()
+        assert not orc.moments(pos, eps).any()
 
 
 def test_moment_of_four_is_the_three_pairings():
-    orc = OracleCovariance(2, 1, 0.2)
+    orc = OracleCovariance(2, 1)
     x, y, z, w = entry_positions([A(1, 1, 2), B(1, 2, 1), A(1, 2, 1),
                                   B(1, 1, 2)], 2, 1)
-    c = orc.cov
+    c = np.kron(block_inverse(0.2), orc.k0)
     want = c[x, y] * c[z, w] + c[x, z] * c[y, w] + c[x, w] * c[y, z]
-    assert orc.moments([[x, y, z, w]])[0] == pytest.approx(want, abs=1e-14)
+    assert orc.moments([[x, y, z, w]], 0.2)[0] == pytest.approx(want, abs=1e-14)
 
 
 def test_richardson_array_matches_scalar_calls():
@@ -214,11 +227,39 @@ def test_richardson_array_matches_scalar_calls():
 
 
 def test_richardson_on_the_entry_covariance_matrix():
+    # extrapolating the 2 x 2 block and spreading it over K0 gives, bit for
+    # bit, the extrapolation of the whole per-eps covariance kron(B^-1, K0)
+    block = richardson_limit(block_inverse)
+    for N in (1, 2, 3):
+        for d in (1, 2):
+            orc = OracleCovariance(N, d)
+            n = len(entry_pool(N, d))
+            dense = richardson_limit(
+                lambda e: np.kron(block_inverse(e), orc.k0))
+            rows = np.array([orc.covariance_row(block, i) for i in range(n)])
+            assert np.array_equal(rows, dense)
     N, d = 2, 1
-    n = len(entry_pool(N, d))
-    cov = richardson_limit(lambda e: OracleCovariance(N, d, e).cov)
-    for i in range(n):
-        for j in range(n):
-            one = richardson_limit(
-                lambda e: OracleCovariance(N, d, e).moments([[i, j]])[0])
-            assert abs(cov[i, j] - one) < 1e-12
+    orc = OracleCovariance(N, d)
+    for i in range(len(entry_pool(N, d))):
+        row = orc.covariance_row(block, i)
+        for j in range(len(row)):
+            one = richardson_limit(lambda e: orc.moments([[i, j]], e)[0])
+            assert abs(row[j] - one) < 1e-12
+
+
+def test_k0_entries_are_zero_or_one():
+    # so spreading the limit block over K0 rounds nothing: the limit rows
+    # equal the entrywise limit of the whole covariance
+    for N in range(1, 9):
+        for d in range(1, 5):
+            k0 = OracleCovariance(N, d).k0
+            assert np.isin(k0, (0, 1)).all(), (N, d)
+
+
+def test_quartic_positions_list_the_reference_monomials():
+    for N in (1, 2, 3):
+        for d in (1, 2, 3):
+            want = entry_positions(quartic_monomials(N, d), N, d)
+            assert np.array_equal(quartic_positions(N, d), want)
+    with pytest.raises(ValidationError):
+        quartic_positions(0, 1)

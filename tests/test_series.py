@@ -114,8 +114,8 @@ def test_standard_assembly_first_order_against_oracle():
                      range(1, d + 1), range(1, d + 1),
                      *[range(1, N + 1)] * 4)]
         pos = entry_positions(words, N, d)
-        got = richardson_limit(
-            lambda eps: OracleCovariance(N, d, eps).moments(pos).sum())
+        orc = OracleCovariance(N, d)
+        got = richardson_limit(lambda eps: orc.moments(pos, eps).sum())
         want = -2 * N ** 3 * d
         assert abs(got - want) < 1e-8
         assert abs(implied - want) < 1e-12

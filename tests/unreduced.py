@@ -7,7 +7,7 @@ pairings one by one as ``Pairing``s; ``iter_matchings_batched`` yields them
 in numpy batches as the census's rows ``bp`` (the B-index paired with each
 A-index).  ``to_gauss_code`` walks the legs of one pairing checked by the
 reference tracer, and ``is_tadpole`` finds a propagator that joins two legs
-of one vertex.
+of one vertex.  ``TREFOIL`` is the canonical code of the k = 3 trefoil.
 """
 import functools
 import itertools
@@ -19,6 +19,7 @@ from triline.errors import StructureError
 from triline.knots import OVER, UNDER, GaussCode
 
 KMAX = 5
+TREFOIL = GaussCode.parse("O1U2O3U1O2U3")
 
 
 def _check_order(k: int) -> None:
